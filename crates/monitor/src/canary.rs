@@ -14,8 +14,9 @@
 //!    report.
 //! 4. **Swap atomically** — [`ReleaseService::swap_engine`] installs the
 //!    new engine in one pointer swap. In-flight requests complete on the
-//!    engine they started with (workers clone the engine `Arc` once per
-//!    request), so no request ever observes a torn mix of calibrations.
+//!    engine they started with (a worker serves each request from one
+//!    serving-state snapshot), so no request ever observes a torn mix of
+//!    calibrations.
 //! 5. **Refresh** — the calibration snapshot on disk is rewritten from the
 //!    new engine (when configured) and both monitors are rebased to the
 //!    newly fitted envelope.

@@ -5,15 +5,16 @@
 //! connection:
 //!
 //! * the **reader** decodes frames off the socket and dispatches them. A
-//!   RELEASE is pushed into the shared [`ReleaseService`] via `try_submit`
-//!   — never the blocking path — so when the bounded admission queue
-//!   refuses, the client gets a typed [`Frame::Busy`] immediately instead
-//!   of stalling every other request on the connection;
-//! * the **writer** drains an in-process channel of either ready frames or
-//!   pending [`Ticket`]s, writing each response as soon as its release
-//!   completes. Responses therefore return **out of order**, matched by
-//!   sequence number — that is what lets one connection keep
-//!   `max_pipeline` requests in flight.
+//!   RELEASE is pushed into the shared [`ReleaseService`] via
+//!   `try_submit_into` — never the blocking path — so when the bounded
+//!   admission queue refuses, the client gets a typed [`Frame::Busy`]
+//!   immediately instead of stalling every other request on the
+//!   connection. The submission carries a sink: the worker that serves
+//!   the release sends the response straight into the connection's channel;
+//! * the **writer** blocks on that one channel, writes every response it
+//!   holds, and flushes once per batch. Releases therefore return **out of
+//!   order**, in completion order, matched by sequence number — that is
+//!   what lets one connection keep `max_pipeline` requests in flight.
 //!
 //! Back-pressure has three layers, all surfaced as typed frames rather
 //! than silence: per-connection pipeline depth ([`Frame::Busy`]), the
@@ -23,22 +24,25 @@
 //!
 //! Shutdown is graceful: the accept loop stops, readers notice the flag at
 //! their next read-timeout tick and stop decoding, and each writer *drains
-//! its in-flight tickets* — every admitted release still gets its response
-//! frame (bounded by `drain_timeout`) before the socket closes.
+//! its in-flight requests* — every admitted release still gets its response
+//! frame before the socket closes. The drain has one deadline per
+//! connection (`drain_timeout`); whatever is still in flight then is
+//! abandoned with one typed notice.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pufferfish_core::NoisyRelease;
 use pufferfish_markov::MarkovChainClass;
 use pufferfish_query::{QueryError, QueryResult, QueryService, Table};
 use pufferfish_service::{
     ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest, ReleaseService,
-    ServiceError, ServiceTelemetry, StreamBackend, Ticket,
+    ServiceError, ServiceTelemetry, StreamBackend,
 };
 use pufferfish_telemetry::{
     Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage, StageHistograms,
@@ -67,8 +71,11 @@ pub struct NetServerConfig {
     pub max_frame_len: u32,
     /// Back-off hint carried by every [`Frame::Busy`], in milliseconds.
     pub busy_retry_hint_ms: u32,
-    /// At close, how long a writer waits for each still-in-flight release
-    /// before giving up with a typed [`ErrorCode::Internal`] frame.
+    /// Once a connection's reader stops, how long its writer keeps
+    /// answering the requests still in flight — one deadline for the whole
+    /// connection, however many are in flight. At the deadline the writer
+    /// sends one seq-0 [`ErrorCode::Internal`] notice counting the abandoned
+    /// requests and closes the socket.
     pub drain_timeout: Duration,
 }
 
@@ -449,12 +456,24 @@ fn refuse_connection(mut stream: TcpStream, max_frame_len: u32) {
     }
 }
 
-/// What the reader hands the writer: a frame ready now, or a ticket whose
-/// frame will be ready when the worker pool fulfils it (carrying the
-/// request trace so the writer can record the encode stage and finish it).
+/// What the connection's threads hand the writer.
 enum Outgoing {
+    /// A reply ready now.
     Now(u64, Frame),
-    Pending(u64, Ticket, Option<Arc<RequestTrace>>),
+    /// A release's response, sent by the worker that served it (with the
+    /// request trace, so the writer can record the encode stage and finish
+    /// it). Frees the request's pipeline slot.
+    Released(
+        u64,
+        Result<NoisyRelease, ServiceError>,
+        Option<Arc<RequestTrace>>,
+    ),
+    /// A progressive stream sent its last frame. Frees its pipeline slot.
+    StreamEnded,
+    /// The reader has stopped: exit once nothing is in flight.
+    Drain,
+    /// The drain deadline passed: give up on whatever is still in flight.
+    Abandon,
 }
 
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
@@ -468,26 +487,36 @@ fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
     };
     let (tx, rx) = std::sync::mpsc::channel::<Outgoing>();
     let inflight = Arc::new(AtomicUsize::new(0));
-    let writer_inflight = Arc::clone(&inflight);
-    let writer_config = config.clone();
-    let writer_telemetry = inner.telemetry.clone();
-    let writer = std::thread::Builder::new()
-        .name("pufferfish-net-write".to_string())
-        .spawn(move || {
-            writer_loop(
-                write_stream,
-                rx,
-                &writer_inflight,
-                &writer_config,
-                writer_telemetry.as_ref(),
-            )
-        });
+    let writer_done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let inner = Arc::clone(inner);
+        let inflight = Arc::clone(&inflight);
+        let done = Arc::clone(&writer_done);
+        let reader = std::thread::current();
+        std::thread::Builder::new()
+            .name("pufferfish-net-write".to_string())
+            .spawn(move || {
+                writer_loop(write_stream, rx, &inflight, &inner);
+                done.store(true, Ordering::Release);
+                reader.unpark();
+            })
+    };
     let Ok(writer) = writer else { return };
 
     read_loop(inner, stream, &tx, &inflight);
 
-    // Closing the channel is the drain signal: the writer finishes every
-    // pending ticket (bounded by drain_timeout each), flushes, and exits.
+    // The drain: one deadline for the whole connection, however many
+    // requests are still in flight.
+    let deadline = Instant::now() + config.drain_timeout;
+    let _ = tx.send(Outgoing::Drain);
+    while !writer_done.load(Ordering::Acquire) {
+        let now = Instant::now();
+        if now >= deadline {
+            let _ = tx.send(Outgoing::Abandon);
+            break;
+        }
+        std::thread::park_timeout(deadline - now);
+    }
     drop(tx);
     let _ = writer.join();
 }
@@ -660,34 +689,42 @@ fn dispatch(
                 }
                 trace
             });
-            match inner.release.try_submit_traced(request, trace.clone()) {
-                Ok(ticket) => {
-                    inflight.fetch_add(1, Ordering::SeqCst);
-                    tx.send(Outgoing::Pending(seq, ticket, trace)).is_ok()
-                }
-                Err(ServiceError::QueueFull { .. }) => send_now(Frame::Busy {
+            // The slot is taken before submitting: the worker can complete
+            // the release, and the writer free the slot, before the submit
+            // call returns.
+            inflight.fetch_add(1, Ordering::SeqCst);
+            let (sink_tx, sink_trace) = (tx.clone(), trace.clone());
+            let sink = move |result| {
+                let _ = sink_tx.send(Outgoing::Released(seq, result, sink_trace));
+            };
+            let Err(refusal) = inner.release.try_submit_into(request, trace, sink) else {
+                return true;
+            };
+            inflight.fetch_sub(1, Ordering::SeqCst);
+            match refusal {
+                ServiceError::QueueFull { .. } => send_now(Frame::Busy {
                     retry_hint_ms: config.busy_retry_hint_ms,
                 }),
-                Err(ServiceError::BudgetExhausted {
+                ServiceError::BudgetExhausted {
                     requested,
                     remaining,
                     ..
-                }) => send_now(Frame::BudgetExhausted {
+                } => send_now(Frame::BudgetExhausted {
                     requested,
                     remaining,
                 }),
-                Err(ServiceError::ServiceClosed) => {
+                ServiceError::ServiceClosed => {
                     send_now(Frame::Error {
                         code: ErrorCode::Shutdown,
                         message: "release service is closed".to_string(),
                     });
                     false
                 }
-                Err(ServiceError::Mechanism(error)) => send_now(Frame::Error {
+                ServiceError::Mechanism(error) => send_now(Frame::Error {
                     code: ErrorCode::Mechanism,
                     message: error.to_string(),
                 }),
-                Err(error) => send_now(Frame::Error {
+                error => send_now(Frame::Error {
                     code: ErrorCode::Internal,
                     message: error.to_string(),
                 }),
@@ -775,12 +812,11 @@ fn dispatch(
             });
             // Each PROGRESSIVE request gets its own driver thread so its
             // refinement stream interleaves with the connection's other
-            // pipelined traffic; it holds a writer-channel clone, so the
-            // writer drains every step before the connection closes.
+            // pipelined traffic; the stream holds a pipeline slot until its
+            // end marker reaches the writer, so the drain waits for it.
             inflight.fetch_add(1, Ordering::SeqCst);
             let worker_inner = Arc::clone(inner);
             let worker_tx = tx.clone();
-            let worker_inflight = Arc::clone(inflight);
             let spawned = std::thread::Builder::new()
                 .name("pufferfish-net-progressive".to_string())
                 .spawn(move || {
@@ -794,7 +830,7 @@ fn dispatch(
                         &database,
                         trace,
                     );
-                    worker_inflight.fetch_sub(1, Ordering::SeqCst);
+                    let _ = worker_tx.send(Outgoing::StreamEnded);
                 });
             match spawned {
                 Ok(_) => true,
@@ -1012,99 +1048,34 @@ fn query_error_frame(error: QueryError) -> Frame {
     }
 }
 
-/// Writes responses as they become ready: immediate frames straight from
-/// the channel, pending tickets polled without blocking so completions are
-/// written in *completion* order, not submission order.
-fn writer_loop(
-    stream: TcpStream,
-    rx: Receiver<Outgoing>,
-    inflight: &Arc<AtomicUsize>,
-    config: &NetServerConfig,
-    telemetry: Option<&NetTelemetry>,
-) {
+/// Writes replies in the order they reach the channel — for releases,
+/// completion order. It blocks on the channel, writes every item the channel
+/// holds, then flushes once. After [`Outgoing::Drain`] it exits as soon as
+/// nothing is in flight; [`Outgoing::Abandon`] makes it give up on the rest
+/// with one seq-0 notice that counts them.
+fn writer_loop(stream: TcpStream, rx: Receiver<Outgoing>, inflight: &AtomicUsize, inner: &Inner) {
+    let (config, telemetry) = (&inner.config, inner.telemetry.as_ref());
     let mut out = std::io::BufWriter::with_capacity(64 * 1024, stream);
-    let mut pending: VecDeque<(u64, Ticket, Option<Arc<RequestTrace>>)> = VecDeque::new();
-    let mut open = true;
-
-    'outer: while open || !pending.is_empty() {
-        // 1. Pull work off the channel: block when idle, peek when busy.
-        if open {
-            if pending.is_empty() {
-                match rx.recv() {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(_) => open = false,
-                }
-            } else {
-                // Park briefly so a worker completing a ticket is picked up
-                // promptly even when the channel stays quiet.
-                match rx.recv_timeout(Duration::from_micros(500)) {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => open = false,
-                }
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(outgoing) => {
-                        pending_or_write(outgoing, &mut pending, &mut out, config, telemetry);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 2. Write every completed ticket, in completion order.
-        let park = if open {
-            Duration::ZERO
-        } else {
-            // Drain phase: the reader is gone, so actually wait for each
-            // in-flight release (bounded) instead of spinning.
-            config.drain_timeout
-        };
-        let mut index = 0;
-        while index < pending.len() {
-            match pending[index].1.wait_timeout(park) {
-                Err(ServiceError::WaitTimeout { .. }) if open => {
-                    index += 1;
-                }
-                outcome => {
-                    let (seq, _ticket, trace) = pending.remove(index).expect("index in bounds");
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                    let frame = match outcome {
-                        Ok(release) => Frame::ReleaseOk {
-                            scale: release.scale,
-                            values: release.values,
-                        },
-                        Err(ServiceError::WaitTimeout { .. }) => Frame::Error {
-                            code: ErrorCode::Internal,
-                            message: "drain timeout: release still in flight at close".to_string(),
-                        },
-                        Err(ServiceError::ServiceClosed) => Frame::Error {
-                            code: ErrorCode::Shutdown,
-                            message: "release service closed mid-flight".to_string(),
-                        },
-                        Err(ServiceError::Mechanism(error)) => Frame::Error {
-                            code: ErrorCode::Mechanism,
-                            message: error.to_string(),
-                        },
-                        Err(error) => Frame::Error {
-                            code: ErrorCode::Internal,
-                            message: error.to_string(),
-                        },
+    let mut draining = false;
+    while let Ok(first) = rx.recv() {
+        for outgoing in std::iter::once(first).chain(rx.try_iter()) {
+            match outgoing {
+                Outgoing::Now(seq, frame) => {
+                    let Some(written) = write_frame(&mut out, seq, frame, config) else {
+                        return;
                     };
+                    if let Some(watch) = telemetry {
+                        watch.tx_bytes.add(written as u64);
+                    }
+                }
+                Outgoing::Released(seq, result, trace) => {
+                    inflight.fetch_sub(1, Ordering::SeqCst);
                     // Encode + buffered write is the trace's final stage;
                     // the finished trace then goes to the flight recorder.
                     let encode_started = telemetry.map(|_| Instant::now());
-                    let Some(written) = write_frame(&mut out, seq, frame, config) else {
-                        break 'outer;
+                    let Some(written) = write_frame(&mut out, seq, release_frame(result), config)
+                    else {
+                        return;
                     };
                     if let (Some(watch), Some(started)) = (telemetry, encode_started) {
                         let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -1118,35 +1089,49 @@ fn writer_loop(
                         }
                     }
                 }
-            }
-        }
-        if out.flush().is_err() {
-            break;
-        }
-    }
-    // Anything still pending is abandoned (drain timed out or the socket
-    // died); dropping the tickets releases their slots.
-    let _ = out.flush();
-}
-
-/// Routes one channel item: immediate frames are written now, tickets join
-/// the pending set.
-fn pending_or_write(
-    outgoing: Outgoing,
-    pending: &mut VecDeque<(u64, Ticket, Option<Arc<RequestTrace>>)>,
-    out: &mut std::io::BufWriter<TcpStream>,
-    config: &NetServerConfig,
-    telemetry: Option<&NetTelemetry>,
-) {
-    match outgoing {
-        Outgoing::Now(seq, frame) => {
-            if let Some(written) = write_frame(out, seq, frame, config) {
-                if let Some(watch) = telemetry {
-                    watch.tx_bytes.add(written as u64);
+                Outgoing::StreamEnded => {
+                    inflight.fetch_sub(1, Ordering::SeqCst);
+                }
+                Outgoing::Drain => draining = true,
+                Outgoing::Abandon => {
+                    let abandoned = inflight.load(Ordering::SeqCst);
+                    let notice = Frame::Error {
+                        code: ErrorCode::Internal,
+                        message: format!(
+                            "drain timeout: {abandoned} in-flight requests abandoned at close"
+                        ),
+                    };
+                    let _ = write_frame(&mut out, 0, notice, config);
+                    let _ = out.flush();
+                    return;
                 }
             }
         }
-        Outgoing::Pending(seq, ticket, trace) => pending.push_back((seq, ticket, trace)),
+        if out.flush().is_err() || (draining && inflight.load(Ordering::SeqCst) == 0) {
+            return;
+        }
+    }
+}
+
+/// The response frame for a release's outcome.
+fn release_frame(result: Result<NoisyRelease, ServiceError>) -> Frame {
+    match result {
+        Ok(release) => Frame::ReleaseOk {
+            scale: release.scale,
+            values: release.values,
+        },
+        Err(ServiceError::ServiceClosed) => Frame::Error {
+            code: ErrorCode::Shutdown,
+            message: "release service closed mid-flight".to_string(),
+        },
+        Err(ServiceError::Mechanism(error)) => Frame::Error {
+            code: ErrorCode::Mechanism,
+            message: error.to_string(),
+        },
+        Err(error) => Frame::Error {
+            code: ErrorCode::Internal,
+            message: error.to_string(),
+        },
     }
 }
 

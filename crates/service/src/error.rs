@@ -47,9 +47,10 @@ pub enum ServiceError {
     },
     /// The service has been shut down and accepts no further requests.
     ServiceClosed,
-    /// A bounded wait on a [`Ticket`](crate::Ticket) elapsed before the
-    /// worker fulfilled the request. The request is still in flight: the
-    /// caller can wait again, or walk away and let the response be dropped.
+    /// A caller's bounded wait for a response elapsed with the request still
+    /// in flight. Nothing in this workspace produces it any more; it stays so
+    /// that outcome accounting matching every variant (the `perfbench`
+    /// harness's) can still name it.
     WaitTimeout {
         /// How long the caller was prepared to wait.
         waited: std::time::Duration,

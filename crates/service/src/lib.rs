@@ -9,7 +9,9 @@
 //!   [`pufferfish_parallel::WorkerPool`], every worker driving one shared,
 //!   sharded [`pufferfish_core::ReleaseEngine`] (calibrations are cached and
 //!   stampede-coalesced there). Submitters get a [`Ticket`] and wait for
-//!   their [`pufferfish_core::NoisyRelease`]; a full queue is explicit
+//!   their [`pufferfish_core::NoisyRelease`], or hand the service a sink it
+//!   calls once with the response
+//!   ([`ReleaseService::try_submit_into`]); a full queue is explicit
 //!   back-pressure, not unbounded growth.
 //! * [`BudgetAccountant`] — per-user ε-budget accounting under the paper's
 //!   Theorem 4.4 composition (via

@@ -14,10 +14,12 @@ use crate::MonitorStats;
 /// A passive watcher of a [`ReleaseService`](crate::ReleaseService)'s
 /// releases.
 ///
-/// Workers call [`ReleaseObserver::observe_release`] on the release path
-/// *after* fulfilling a request succeeds, so implementations must be cheap
-/// and non-blocking — the `monitor` bench holds the observed warm path to
-/// within 5% of the unobserved one. Observers run inside the trust boundary
+/// Workers call [`ReleaseObserver::observe_release`] on the release path,
+/// after a release succeeds and *before* its response is delivered (the
+/// ticket fulfilled or the sink called): a submitter that has its response
+/// also finds its release already observed. Implementations must therefore
+/// be cheap and non-blocking — the `monitor` bench holds the observed warm
+/// path to within 5% of the unobserved one. Observers run inside the trust boundary
 /// (they see `true_values`; that is what lets them test the noise).
 pub trait ReleaseObserver: Send + Sync {
     /// Called by a worker after each successful release.

@@ -1,11 +1,14 @@
 //! The request/response serving front-end over a shared [`ReleaseEngine`].
 //!
 //! Architecture: submitters pass admission control (per-user ε-budget, then
-//! the bounded queue) and receive a [`Ticket`]; a [`WorkerPool`] drains the
-//! queue, drives the sharded engine (one `Arc<ReleaseEngine>` shared by all
+//! the bounded queue) and say where the response goes: a [`Ticket`] they
+//! wait on, or a sink the service calls
+//! ([`ReleaseService::try_submit_into`]). A [`WorkerPool`] drains the queue,
+//! drives the sharded engine (one `Arc<ReleaseEngine>` shared by all
 //! workers — calibrations are cached and stampede-coalesced there), and
-//! fulfils the ticket. Back-pressure is explicit: a full queue refuses
-//! [`ReleaseService::try_submit`] rather than growing without bound.
+//! completes every admitted job exactly once. Back-pressure is explicit: a
+//! full queue refuses [`ReleaseService::try_submit`] rather than growing
+//! without bound.
 //!
 //! Budget semantics: the ε spend is committed atomically at *admission*, so
 //! concurrent submissions can never jointly overdraw a user's budget. If the
@@ -16,7 +19,7 @@
 //! reason about atomically).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -83,7 +86,9 @@ impl ResponseSlot {
     }
 
     fn fulfil(&self, result: Result<NoisyRelease, ServiceError>) {
-        *self.result.lock().expect("response slot poisoned") = Some(result);
+        // Tolerate a poisoned slot: a job's drop guard fulfils it during
+        // unwinding, and a second panic would abort the process.
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
         self.ready.notify_all();
     }
 }
@@ -123,45 +128,6 @@ impl Ticket {
                 .expect("response slot poisoned");
         }
     }
-
-    /// Waits at most `timeout` for the response — the bounded-latency wait
-    /// the network front-end's connection writers use so one slow release
-    /// can never wedge a whole connection.
-    ///
-    /// On success the response is **consumed**: a later
-    /// [`Ticket::wait`]/`wait_timeout` on the same ticket reports
-    /// [`ServiceError::ServiceClosed`] instead of blocking forever. A zero
-    /// `timeout` is a pure poll.
-    ///
-    /// # Errors
-    /// [`ServiceError::WaitTimeout`] when the response did not arrive in
-    /// time (the request is still in flight and the ticket remains usable);
-    /// otherwise as for [`Ticket::wait`].
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> Result<NoisyRelease, ServiceError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut result = self.slot.result.lock().expect("response slot poisoned");
-        loop {
-            if let Some(response) = result.take() {
-                // Leave a closed marker so a (buggy) second wait on the
-                // consumed ticket fails fast instead of hanging.
-                *result = Some(Err(ServiceError::ServiceClosed));
-                return response;
-            }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|r| !r.is_zero())
-            else {
-                return Err(ServiceError::WaitTimeout { waited: timeout });
-            };
-            let (guard, _timed_out) = self
-                .slot
-                .ready
-                .wait_timeout(result, remaining)
-                .expect("response slot poisoned");
-            result = guard;
-        }
-    }
 }
 
 impl std::fmt::Debug for Ticket {
@@ -172,11 +138,31 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// A queued unit of work: the request, the slot its response goes to, and
-/// the tracing context it carries through the worker pool.
+/// Where an admitted job's response goes.
+enum Completion {
+    /// The slot behind a [`Ticket`] (in-process callers).
+    Ticket(Arc<ResponseSlot>),
+    /// A caller-supplied sink, called on the worker thread (the network
+    /// front-end's hand-off to a connection writer).
+    Sink(Box<dyn FnOnce(Result<NoisyRelease, ServiceError>) + Send>),
+}
+
+impl Completion {
+    fn complete(self, result: Result<NoisyRelease, ServiceError>) {
+        match self {
+            Completion::Ticket(slot) => slot.fulfil(result),
+            Completion::Sink(sink) => sink(result),
+        }
+    }
+}
+
+/// A queued unit of work: the request, where its response goes, and the
+/// tracing context it carries through the worker pool.
 struct Job {
     request: ReleaseRequest,
-    slot: Arc<ResponseSlot>,
+    /// Taken when the job completes. Still present at drop means no worker
+    /// answered the job; a refused job has it removed before the drop.
+    completion: Option<Completion>,
     /// When the job entered admission. Together with `admitted_at` the
     /// worker derives the admission and queue-wait stages from these two
     /// timestamps (the endpoints live on different threads, so an RAII
@@ -192,22 +178,52 @@ struct Job {
 }
 
 impl Drop for Job {
-    /// Fulfils the slot with [`ServiceError::ServiceClosed`] if nothing else
+    /// Completes the job with [`ServiceError::ServiceClosed`] if no worker
     /// did: a job dropped before its worker produced a response (worker
-    /// panic mid-release, admission rollback, queue teardown) must never
-    /// leave a submitter blocked in [`Ticket::wait`] forever.
+    /// panic mid-release, queue teardown) must never leave its submitter
+    /// waiting forever.
     fn drop(&mut self) {
-        // Tolerate a poisoned slot here — this guard runs during unwinding,
-        // and a second panic would abort the process.
-        let mut result = match self.slot.result.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if result.is_none() {
-            *result = Some(Err(ServiceError::ServiceClosed));
-            drop(result);
-            self.slot.ready.notify_all();
+        if let Some(completion) = self.completion.take() {
+            completion.complete(Err(ServiceError::ServiceClosed));
         }
+    }
+}
+
+/// Everything a worker serves a job with, replaced as one immutable value
+/// by [`ReleaseService::swap_engine`], [`ReleaseService::set_observer`] and
+/// [`ReleaseService::enable_telemetry`].
+#[derive(Clone)]
+struct ServingState {
+    engine: Arc<ReleaseEngine>,
+    observer: Option<Arc<dyn ReleaseObserver>>,
+    telemetry: Option<Arc<ServiceTelemetry>>,
+}
+
+/// The slot holding the current [`ServingState`], plus an epoch bumped on
+/// every replacement. Workers keep their own `Arc` of the state and re-read
+/// the slot only when the epoch moves, so a job costs one atomic load, not a
+/// lock and two contended reference-count updates.
+struct ServingSlot {
+    state: RwLock<Arc<ServingState>>,
+    epoch: AtomicU64,
+}
+
+impl ServingSlot {
+    fn load(&self) -> Arc<ServingState> {
+        Arc::clone(&self.state.read().expect("serving state poisoned"))
+    }
+
+    /// Installs the state `update` builds from the current one and returns
+    /// the state it replaced. Updates are serialised by the write lock, so
+    /// none can lose another's change.
+    fn update(&self, update: impl FnOnce(&ServingState) -> ServingState) -> Arc<ServingState> {
+        let mut state = self.state.write().expect("serving state poisoned");
+        let next = Arc::new(update(&state));
+        let previous = std::mem::replace(&mut *state, next);
+        // Bumped under the write lock: a worker that sees the new epoch and
+        // then reads the slot finds this state or a later one.
+        self.epoch.fetch_add(1, Ordering::Release);
+        previous
     }
 }
 
@@ -291,21 +307,11 @@ impl Default for ServiceConfig {
 /// service.shutdown();
 /// ```
 pub struct ReleaseService {
-    /// The engine behind one level of indirection so
-    /// [`ReleaseService::swap_engine`] can replace it atomically while
-    /// requests are in flight. Workers clone the inner `Arc` out under the
-    /// read lock *once per request*, then serve entirely from that clone —
-    /// a request is always answered by exactly one engine's calibration,
+    /// The engine, observer and telemetry that requests are served with,
+    /// replaced together. A worker serves each job from one state, so a
+    /// request is always answered by exactly one engine's calibration,
     /// never a torn mix of pre- and post-swap entries.
-    engine: Arc<RwLock<Arc<ReleaseEngine>>>,
-    observer: Arc<RwLock<Option<Arc<dyn ReleaseObserver>>>>,
-    telemetry: Arc<RwLock<Option<Arc<ServiceTelemetry>>>>,
-    /// Bumped on every [`ReleaseService::enable_telemetry`]. Workers keep a
-    /// private clone of the telemetry handle and re-read the `RwLock` slot
-    /// only when this generation changes — the per-job fast path is one
-    /// relaxed atomic load instead of a lock acquisition plus two contended
-    /// `Arc` reference-count updates.
-    telemetry_epoch: Arc<AtomicU64>,
+    serving: Arc<ServingSlot>,
     budget: Arc<BudgetAccountant>,
     queue: Arc<BoundedQueue<Job>>,
     pool: Option<WorkerPool>,
@@ -334,107 +340,37 @@ impl ReleaseService {
         let budget = Arc::new(BudgetAccountant::new(config.per_user_epsilon)?);
         let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(config.queue_capacity));
         let served = Arc::new(AtomicU64::new(0));
-        let engine = Arc::new(RwLock::new(engine));
-        let observer: Arc<RwLock<Option<Arc<dyn ReleaseObserver>>>> = Arc::new(RwLock::new(None));
-        let telemetry: Arc<RwLock<Option<Arc<ServiceTelemetry>>>> = Arc::new(RwLock::new(None));
-        let telemetry_epoch = Arc::new(AtomicU64::new(0));
+        let serving = Arc::new(ServingSlot {
+            state: RwLock::new(Arc::new(ServingState {
+                engine,
+                observer: None,
+                telemetry: None,
+            })),
+            epoch: AtomicU64::new(0),
+        });
 
         let pool = {
-            let engine = Arc::clone(&engine);
-            let observer = Arc::clone(&observer);
-            let telemetry = Arc::clone(&telemetry);
-            let telemetry_epoch = Arc::clone(&telemetry_epoch);
+            let serving = Arc::clone(&serving);
             let queue = Arc::clone(&queue);
             let served = Arc::clone(&served);
             WorkerPool::spawn(config.workers, "pufferfish-release", move |_worker| {
-                // Worker-local telemetry cache, refreshed only when the
-                // service's epoch moves (i.e. after `enable_telemetry`):
-                // steady-state jobs never touch the lock or the `Arc`
-                // reference count.
-                let mut cached_epoch = 0u64;
-                let mut cached: Option<Arc<ServiceTelemetry>> = None;
+                // The epoch is read before the state, so a replacement that
+                // lands in between is picked up by the next job.
+                let mut epoch = serving.epoch.load(Ordering::Acquire);
+                let mut state = serving.load();
                 while let Some(job) = queue.pop() {
-                    let epoch = telemetry_epoch.load(Ordering::Acquire);
-                    if epoch != cached_epoch {
-                        cached = telemetry.read().expect("telemetry lock poisoned").clone();
-                        cached_epoch = epoch;
+                    let current = serving.epoch.load(Ordering::Acquire);
+                    if current != epoch {
+                        epoch = current;
+                        state = serving.load();
                     }
-                    let watch = &cached;
-                    // In-process submissions carry no trace of their own;
-                    // when a flight recorder is attached, the worker builds
-                    // one so the recorder still sees a stage breakdown. With
-                    // no recorder the per-request trace would be dropped
-                    // unread, so it is never built.
-                    let own_trace = match (&watch, &job.trace) {
-                        (Some(watch), None) if watch.recorder().is_some() => {
-                            Some(RequestTrace::new(job.request.seed))
-                        }
-                        _ => None,
-                    };
-                    let trace = job.trace.as_deref().or(own_trace.as_ref());
-                    // One clock read serves as both the queue-wait end and
-                    // the engine-stage start ("dequeued"): clock reads are
-                    // the bulk of the per-request telemetry cost.
-                    let dequeued = watch.as_ref().map(|watch| {
-                        let now = Instant::now();
-                        // The admission stage and counter are recorded here,
-                        // from the job's timestamps, rather than on the
-                        // submitter thread — the worker's cached handle makes
-                        // this the only place that pays a telemetry lookup.
-                        Self::record_stage(
-                            watch,
-                            trace,
-                            Stage::Admission,
-                            job.admitted_at.duration_since(job.submitted_at),
-                        );
-                        watch.admitted().inc();
-                        Self::record_stage(
-                            watch,
-                            trace,
-                            Stage::QueueWait,
-                            now.duration_since(job.admitted_at),
-                        );
-                        // The atomic mirror, not `len()`: re-locking the
-                        // queue here would contend with every submitter.
-                        watch.queue_depth().set(queue.approx_len() as u64);
-                        now
-                    });
-                    // One engine per request: the clone taken here outlives
-                    // any concurrent swap_engine, so the whole release is
-                    // served from a single consistent calibration.
-                    let current = Arc::clone(&engine.read().expect("engine lock poisoned"));
-                    let response = match (&watch, dequeued) {
-                        (Some(watch), Some(dequeued)) => {
-                            Self::serve_traced(&current, &job.request, watch, trace, dequeued)
-                        }
-                        _ => Self::serve(&current, &job.request),
-                    };
-                    if let Ok(release) = &response {
-                        let watcher = observer.read().expect("observer lock poisoned").clone();
-                        if let Some(watcher) = watcher {
-                            watcher.observe_release(&job.request.database, release);
-                        }
-                    }
-                    // Count before fulfilling: a submitter woken by the
-                    // ticket must observe its own request in `served()`.
-                    served.fetch_add(1, Ordering::Relaxed);
-                    job.slot.fulfil(response);
-                    // A worker-built trace ends here; a caller-supplied one
-                    // is finished (and offered to a recorder) by its owner.
-                    if let (Some(watch), Some(trace)) = (&watch, &own_trace) {
-                        if let Some(recorder) = watch.recorder() {
-                            recorder.observe(trace);
-                        }
-                    }
+                    Self::work(&state, &queue, &served, job);
                 }
             })
         };
 
         Ok(ReleaseService {
-            engine,
-            observer,
-            telemetry,
-            telemetry_epoch,
+            serving,
             budget,
             queue,
             pool: Some(pool),
@@ -499,7 +435,67 @@ impl ReleaseService {
         Ok(self.engine().export_snapshot().write_to_file(path)?)
     }
 
-    /// One worker's handling of one request.
+    /// One worker's handling of one job: serve it from `state`, report a
+    /// successful release to the observer, then complete the job.
+    fn work(state: &ServingState, queue: &BoundedQueue<Job>, served: &AtomicU64, mut job: Job) {
+        let watch = state.telemetry.as_deref();
+        // In-process submissions carry no trace of their own; when a flight
+        // recorder is attached, the worker builds one so the recorder still
+        // sees a stage breakdown. With no recorder the per-request trace
+        // would be dropped unread, so it is never built.
+        let own_trace = match (watch, &job.trace) {
+            (Some(watch), None) if watch.recorder().is_some() => {
+                Some(RequestTrace::new(job.request.seed))
+            }
+            _ => None,
+        };
+        let trace = job.trace.as_deref().or(own_trace.as_ref());
+        let response = match watch {
+            Some(watch) => {
+                // One clock read serves as both the queue-wait end and the
+                // engine-stage start ("dequeued"): clock reads are the bulk
+                // of the per-request telemetry cost. The admission stage and
+                // counter are recorded here, from the job's timestamps,
+                // rather than on the submitter thread.
+                let dequeued = Instant::now();
+                Self::record_stage(
+                    watch,
+                    trace,
+                    Stage::Admission,
+                    job.admitted_at.duration_since(job.submitted_at),
+                );
+                watch.admitted().inc();
+                Self::record_stage(
+                    watch,
+                    trace,
+                    Stage::QueueWait,
+                    dequeued.duration_since(job.admitted_at),
+                );
+                // The atomic mirror, not `len()`: re-locking the queue here
+                // would contend with every submitter.
+                watch.queue_depth().set(queue.approx_len() as u64);
+                Self::serve_traced(&state.engine, &job.request, watch, trace, dequeued)
+            }
+            None => Self::serve(&state.engine, &job.request),
+        };
+        if let (Ok(release), Some(observer)) = (&response, &state.observer) {
+            observer.observe_release(&job.request.database, release);
+        }
+        // Count before completing: a submitter woken by its response must
+        // observe its own request in `served()`.
+        served.fetch_add(1, Ordering::Relaxed);
+        if let Some(completion) = job.completion.take() {
+            completion.complete(response);
+        }
+        // A worker-built trace ends here; a caller-supplied one is finished
+        // (and offered to a recorder) by its owner.
+        if let (Some(recorder), Some(trace)) =
+            (watch.and_then(ServiceTelemetry::recorder), &own_trace)
+        {
+            recorder.observe(trace);
+        }
+    }
+
     /// Records one finished stage into the registry histogram and, when the
     /// request carries one, its per-request trace.
     fn record_stage(
@@ -565,31 +561,30 @@ impl ReleaseService {
     /// [`ServiceError::QueueFull`] / [`ServiceError::ServiceClosed`] (budget
     /// spend rolled back).
     pub fn try_submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
-        self.try_submit_traced(request, None)
+        self.admit_ticket(request, false)
     }
 
-    /// [`ReleaseService::try_submit`] with a caller-owned request trace: the
-    /// admission and queue-wait stages are recorded into `trace` alongside
-    /// the registry histograms, and the worker's engine/mechanism stages
-    /// accumulate into the same trace. The network front-end threads its
-    /// per-request trace through here; the caller remains responsible for
-    /// offering the finished trace to a flight recorder.
+    /// [`ReleaseService::try_submit`] that completes into `sink` instead of
+    /// a ticket. Once the request is admitted, `sink` is called exactly
+    /// once, on a worker thread, with the response — or with
+    /// [`ServiceError::ServiceClosed`] if the service dropped the request
+    /// unserved. A refused request never calls `sink`: the refusal is this
+    /// call's error, as for `try_submit`.
+    ///
+    /// `trace`, when given, collects the admission, queue-wait, engine and
+    /// mechanism stages; the caller finishes it and offers it to a flight
+    /// recorder. The network front-end submits every RELEASE frame this
+    /// way, with a sink that hands the response to the connection's writer.
     ///
     /// # Errors
     /// As for [`ReleaseService::try_submit`].
-    pub fn try_submit_traced(
+    pub fn try_submit_into(
         &self,
         request: ReleaseRequest,
         trace: Option<Arc<RequestTrace>>,
-    ) -> Result<Ticket, ServiceError> {
-        self.admit(request, trace, |queue, job| {
-            queue.try_push(job).map_err(|refused| match refused {
-                PushError::Full(_) => ServiceError::QueueFull {
-                    capacity: queue.capacity(),
-                },
-                PushError::Closed(_) => ServiceError::ServiceClosed,
-            })
-        })
+        sink: impl FnOnce(Result<NoisyRelease, ServiceError>) + Send + 'static,
+    ) -> Result<(), ServiceError> {
+        self.admit(request, trace, Completion::Sink(Box::new(sink)), false)
     }
 
     /// Blocking submission: waits for queue space instead of failing with
@@ -598,46 +593,51 @@ impl ReleaseService {
     /// # Errors
     /// [`ServiceError::BudgetExhausted`] and [`ServiceError::ServiceClosed`].
     pub fn submit(&self, request: ReleaseRequest) -> Result<Ticket, ServiceError> {
-        self.admit(request, None, |queue, job| {
-            queue.push(job).map_err(|_| ServiceError::ServiceClosed)
-        })
+        self.admit_ticket(request, true)
     }
 
-    /// Shared admission path: spend the budget, enqueue via `enqueue`, and
-    /// roll the spend back when the queue refuses (the refused job — and the
-    /// ticket slot it carries — is simply dropped; no worker will ever see
-    /// it). Every budget event carries its audit tag — query signature,
-    /// engine family, request seed — into an attached ε ledger.
+    fn admit_ticket(
+        &self,
+        request: ReleaseRequest,
+        blocking: bool,
+    ) -> Result<Ticket, ServiceError> {
+        let slot = Arc::new(ResponseSlot::new());
+        let completion = Completion::Ticket(Arc::clone(&slot));
+        self.admit(request, None, completion, blocking)?;
+        Ok(Ticket { slot })
+    }
+
+    /// Shared admission path: spend the budget, enqueue (waiting for space
+    /// when `blocking`), and roll the spend back when the queue refuses. A
+    /// refused job is dropped without completing: its submitter hears the
+    /// refusal from this call. Every budget event carries its audit tag —
+    /// query signature, engine family, request seed — into an attached ε
+    /// ledger.
     fn admit(
         &self,
         request: ReleaseRequest,
         trace: Option<Arc<RequestTrace>>,
-        enqueue: impl FnOnce(&BoundedQueue<Job>, Job) -> Result<(), ServiceError>,
-    ) -> Result<Ticket, ServiceError> {
+        completion: Completion,
+        blocking: bool,
+    ) -> Result<(), ServiceError> {
         // Every job is timestamped on arrival and on acceptance whether or
-        // not telemetry is attached — the worker (which already holds a
-        // cached telemetry handle) turns the two timestamps into the
+        // not telemetry is attached — the worker (which already holds its
+        // own copy of the serving state) turns the two timestamps into the
         // admission and queue-wait stages and counts the admission, so the
-        // warm path here never touches the telemetry slot. Time spent
-        // *inside* the enqueue call is part of the queue-wait stage.
+        // warm path here records nothing. Time spent *inside* the enqueue
+        // call is part of the queue-wait stage.
         let submitted_at = Instant::now();
+        let state = self.serving.load();
         let tag = SpendTag {
             query_sig: query_signature(request.query.name()),
-            family: self.engine().kind(),
+            family: state.engine.kind(),
             seq: request.seed,
         };
         if let Err(refused) = self
             .budget
             .try_spend_tagged(&request.user, request.epsilon, tag)
         {
-            // Refusals never reach a worker, so this cold path looks the
-            // telemetry up itself.
-            let telemetry = self
-                .telemetry
-                .read()
-                .expect("telemetry lock poisoned")
-                .clone();
-            if let Some(watch) = &telemetry {
+            if let Some(watch) = &state.telemetry {
                 Self::record_stage(
                     watch,
                     trace.as_deref(),
@@ -648,32 +648,35 @@ impl ReleaseService {
             }
             return Err(refused);
         }
-        let user = request.user.clone();
-        let epsilon = request.epsilon;
-        let slot = Arc::new(ResponseSlot::new());
-        let admitted_at = Instant::now();
         let job = Job {
             request,
-            slot: Arc::clone(&slot),
+            completion: Some(completion),
             submitted_at,
-            admitted_at,
+            admitted_at: Instant::now(),
             trace,
         };
-        match enqueue(&self.queue, job) {
-            Ok(()) => Ok(Ticket { slot }),
-            Err(error) => {
-                self.budget.refund_tagged(&user, epsilon, tag);
-                let telemetry = self
-                    .telemetry
-                    .read()
-                    .expect("telemetry lock poisoned")
-                    .clone();
-                if let Some(watch) = &telemetry {
-                    watch.refused().inc();
-                }
-                Err(error)
-            }
+        let enqueued = if blocking {
+            self.queue.push(job).map_err(PushError::Closed)
+        } else {
+            self.queue.try_push(job)
+        };
+        let (error, mut job) = match enqueued {
+            Ok(()) => return Ok(()),
+            Err(PushError::Full(job)) => (
+                ServiceError::QueueFull {
+                    capacity: self.queue.capacity(),
+                },
+                job,
+            ),
+            Err(PushError::Closed(job)) => (ServiceError::ServiceClosed, job),
+        };
+        job.completion = None;
+        self.budget
+            .refund_tagged(&job.request.user, job.request.epsilon, tag);
+        if let Some(watch) = &state.telemetry {
+            watch.refused().inc();
         }
+        Err(error)
     }
 
     /// Convenience: submit (blocking) and wait for the response.
@@ -691,38 +694,37 @@ impl ReleaseService {
     /// [`ReleaseService::swap_engine`] — like the workers, callers see one
     /// consistent engine, not a moving target.
     pub fn engine(&self) -> Arc<ReleaseEngine> {
-        Arc::clone(&self.engine.read().expect("engine lock poisoned"))
+        Arc::clone(&self.serving.load().engine)
     }
 
     /// Atomically replaces the engine serving future requests, returning the
     /// previous one.
     ///
-    /// In-flight requests finish on whichever engine they started with (each
-    /// worker clones the engine `Arc` once per request), so a swap is never
-    /// observable as a torn calibration — only as a clean before/after. This
-    /// is the commit point of the monitor crate's canary recalibration: the
-    /// new engine is built and calibrated *off-path*, then installed here in
-    /// one pointer swap.
+    /// In-flight requests finish on whichever engine they started with (a
+    /// worker serves each job from one serving state), so a swap is never
+    /// observable as a torn calibration — only as a clean before/after.
+    /// Requests submitted after the swap returns are served by the new
+    /// engine. This is the commit point of the monitor crate's canary
+    /// recalibration: the new engine is built and calibrated *off-path*,
+    /// then installed here in one pointer swap.
     pub fn swap_engine(&self, engine: Arc<ReleaseEngine>) -> Arc<ReleaseEngine> {
-        // The incoming engine inherits the service's instrumentation, and an
-        // attached ε ledger records the swap: an auditor replaying the ledger
-        // can see exactly which releases were served before and after a
-        // recalibration.
-        if let Some(watch) = self
-            .telemetry
-            .read()
-            .expect("telemetry lock poisoned")
-            .as_ref()
-        {
-            engine.enable_telemetry(watch.registry());
-        }
+        // An attached ε ledger records the swap: an auditor replaying the
+        // ledger can see exactly which releases were served before and after
+        // a recalibration.
         if let Some(ledger) = self.budget.ledger() {
             ledger.record(LedgerEventKind::Recalibration, "", 0, engine.kind(), 0.0, 0);
         }
-        std::mem::replace(
-            &mut *self.engine.write().expect("engine lock poisoned"),
-            engine,
-        )
+        let previous = self.serving.update(|state| {
+            // The incoming engine inherits the service's instrumentation.
+            if let Some(watch) = &state.telemetry {
+                engine.enable_telemetry(watch.registry());
+            }
+            ServingState {
+                engine,
+                ..state.clone()
+            }
+        });
+        Arc::clone(&previous.engine)
     }
 
     /// Attaches live instrumentation: the engine's cache counters register
@@ -732,43 +734,33 @@ impl ReleaseService {
     /// recorder). Replaces any previous telemetry; events recorded before
     /// enabling are not back-filled.
     pub fn enable_telemetry(&self, telemetry: Arc<ServiceTelemetry>) {
-        self.engine().enable_telemetry(telemetry.registry());
-        *self.telemetry.write().expect("telemetry lock poisoned") = Some(telemetry);
-        // Publish *after* the slot is written: a worker that observes the
-        // new epoch re-reads the slot under the lock and must find the new
-        // handle there.
-        self.telemetry_epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<Arc<ServiceTelemetry>> {
-        self.telemetry
-            .read()
-            .expect("telemetry lock poisoned")
-            .clone()
+        self.serving.update(|state| {
+            state.engine.enable_telemetry(telemetry.registry());
+            ServingState {
+                telemetry: Some(telemetry),
+                ..state.clone()
+            }
+        });
     }
 
     /// Attaches the observer that future releases are reported to (replacing
     /// any previous one). Observation is on the worker release path; see
     /// [`ReleaseObserver`] for the cost contract.
     pub fn set_observer(&self, observer: Arc<dyn ReleaseObserver>) {
-        *self.observer.write().expect("observer lock poisoned") = Some(observer);
-    }
-
-    /// Detaches the current observer, returning the service to the unwatched
-    /// (zero-overhead) configuration.
-    pub fn clear_observer(&self) {
-        *self.observer.write().expect("observer lock poisoned") = None;
+        self.serving.update(|state| ServingState {
+            observer: Some(observer),
+            ..state.clone()
+        });
     }
 
     /// One observability snapshot of the whole service: engine cache
     /// counters, queue occupancy, fulfilment count and budget spend (see
     /// [`ServiceStats`] for the cross-field consistency contract).
     pub fn stats(&self) -> ServiceStats {
-        let engine = self.engine();
+        let state = self.serving.load();
         ServiceStats {
-            cache: engine.stats(),
-            cached_calibrations: engine.len(),
+            cache: state.engine.stats(),
+            cached_calibrations: state.engine.len(),
             queue_depth: self.queue.len(),
             queue_capacity: self.queue.capacity(),
             queue_refusals: self.queue.refusals(),
@@ -783,16 +775,12 @@ impl ReleaseService {
                 entries: warm.entries,
                 bytes: warm.bytes,
             }),
-            monitor: self
+            monitor: state
                 .observer
-                .read()
-                .expect("observer lock poisoned")
                 .as_ref()
                 .map(|observer| observer.monitor_stats()),
-            latency: self
+            latency: state
                 .telemetry
-                .read()
-                .expect("telemetry lock poisoned")
                 .as_ref()
                 .map(|watch| watch.stage_latencies()),
         }
@@ -872,6 +860,60 @@ mod tests {
         }
     }
 
+    /// How a test submission is completed: through a [`Ticket`], or through
+    /// a sink that forwards its result into a channel.
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        Ticket,
+        Sink,
+    }
+
+    /// An admitted test submission, waiting for its response.
+    enum Claim {
+        Ticket(Ticket),
+        Sink(std::sync::mpsc::Receiver<Result<NoisyRelease, ServiceError>>),
+    }
+
+    impl Claim {
+        /// The response. A sink must have been called exactly once: its one
+        /// result arrives, then the channel disconnects with nothing more.
+        fn wait(self) -> Result<NoisyRelease, ServiceError> {
+            match self {
+                Claim::Ticket(ticket) => ticket.wait(),
+                Claim::Sink(results) => {
+                    let result = results.recv().expect("an admitted job calls its sink");
+                    assert!(results.recv().is_err(), "the sink was called twice");
+                    result
+                }
+            }
+        }
+    }
+
+    /// `try_submit` through `via`. A refused sink submission must drop its
+    /// sink without calling it: the refusal is the call's error alone.
+    fn try_submit_via(
+        service: &ReleaseService,
+        via: Via,
+        request: ReleaseRequest,
+    ) -> Result<Claim, ServiceError> {
+        match via {
+            Via::Ticket => service.try_submit(request).map(Claim::Ticket),
+            Via::Sink => {
+                let (sink, results) = std::sync::mpsc::channel();
+                let submitted = service.try_submit_into(request, None, move |result| {
+                    sink.send(result).unwrap();
+                });
+                match submitted {
+                    Ok(()) => Ok(Claim::Sink(results)),
+                    Err(refusal) => {
+                        assert!(results.recv().is_err(), "a refused job called its sink");
+                        Err(refusal)
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn serves_requests_and_tracks_budget() {
         let service = ReleaseService::start(
@@ -922,76 +964,39 @@ mod tests {
         // A service whose single worker is blocked behind slow jobs will
         // refuse try_submit once the queue is at capacity — and the refused
         // request must not consume budget.
-        let service = ReleaseService::start(
-            test_engine(),
-            ServiceConfig {
-                workers: Parallelism::Threads(1),
-                queue_capacity: 1,
-                per_user_epsilon: 100.0,
-            },
-        )
-        .unwrap();
-        let mut tickets = Vec::new();
-        let mut refusals = 0;
-        // Submit aggressively; with a capacity-1 queue some must be refused.
-        for seed in 0..200 {
-            match service.try_submit(request("carol", 0.1, seed)) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(ServiceError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 1);
-                    refusals += 1;
+        for via in [Via::Ticket, Via::Sink] {
+            let service = ReleaseService::start(
+                test_engine(),
+                ServiceConfig {
+                    workers: Parallelism::Threads(1),
+                    queue_capacity: 1,
+                    per_user_epsilon: 100.0,
+                },
+            )
+            .unwrap();
+            let mut claims = Vec::new();
+            let mut refusals = 0;
+            // Submit aggressively; with a capacity-1 queue some must be refused.
+            for seed in 0..200 {
+                match try_submit_via(&service, via, request("carol", 0.1, seed)) {
+                    Ok(claim) => claims.push(claim),
+                    Err(ServiceError::QueueFull { capacity }) => {
+                        assert_eq!(capacity, 1);
+                        refusals += 1;
+                    }
+                    Err(other) => panic!("unexpected error via {via:?}: {other}"),
                 }
-                Err(other) => panic!("unexpected error: {other}"),
             }
-        }
-        let admitted = tickets.len();
-        for ticket in tickets {
-            ticket.wait().unwrap();
-        }
-        assert_eq!(admitted + refusals, 200);
-        // Budget reflects only admitted requests.
-        assert!((service.budget().spent("carol") - 0.1 * admitted as f64).abs() < 1e-9);
-        assert_eq!(service.served(), admitted as u64);
-        service.shutdown();
-    }
-
-    #[test]
-    fn wait_timeout_bounds_the_wait_and_consumes_once() {
-        let service = ReleaseService::start(
-            test_engine(),
-            ServiceConfig {
-                workers: Parallelism::Threads(1),
-                queue_capacity: 8,
-                per_user_epsilon: 10.0,
-            },
-        )
-        .unwrap();
-        let ticket = service.submit(request("tim", 0.1, 1)).unwrap();
-        // Eventually the worker fulfils it; a generous bounded wait gets the
-        // same response a blocking wait would.
-        let release = loop {
-            match ticket.wait_timeout(std::time::Duration::from_millis(200)) {
-                Ok(release) => break release,
-                Err(ServiceError::WaitTimeout { .. }) => continue,
-                Err(other) => panic!("unexpected error: {other}"),
+            let admitted = claims.len();
+            for claim in claims {
+                claim.wait().unwrap();
             }
-        };
-        assert_eq!(release.values.len(), 1);
-        // The response was consumed: waiting again fails fast, never hangs.
-        assert!(matches!(
-            ticket.wait_timeout(std::time::Duration::ZERO),
-            Err(ServiceError::ServiceClosed)
-        ));
-
-        // A zero-duration wait on a request stuck behind nothing is a poll:
-        // it either succeeds or times out immediately, without blocking.
-        let ticket = service.submit(request("tim", 0.1, 2)).unwrap();
-        let polled = ticket.wait_timeout(std::time::Duration::ZERO);
-        assert!(matches!(
-            polled,
-            Ok(_) | Err(ServiceError::WaitTimeout { .. })
-        ));
-        service.shutdown();
+            assert_eq!(admitted + refusals, 200);
+            // Budget reflects only admitted requests.
+            assert!((service.budget().spent("carol") - 0.1 * admitted as f64).abs() < 1e-9);
+            assert_eq!(service.served(), admitted as u64);
+            service.shutdown();
+        }
     }
 
     #[test]
@@ -1028,21 +1033,23 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_requests() {
-        let service = ReleaseService::start(
-            test_engine(),
-            ServiceConfig {
-                workers: Parallelism::Threads(2),
-                queue_capacity: 32,
-                per_user_epsilon: 100.0,
-            },
-        )
-        .unwrap();
-        let tickets: Vec<Ticket> = (0..20)
-            .map(|seed| service.submit(request("dave", 0.1, seed)).unwrap())
-            .collect();
-        service.shutdown();
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok());
+        for via in [Via::Ticket, Via::Sink] {
+            let service = ReleaseService::start(
+                test_engine(),
+                ServiceConfig {
+                    workers: Parallelism::Threads(2),
+                    queue_capacity: 32,
+                    per_user_epsilon: 100.0,
+                },
+            )
+            .unwrap();
+            let claims: Vec<Claim> = (0..20)
+                .map(|seed| try_submit_via(&service, via, request("dave", 0.1, seed)).unwrap())
+                .collect();
+            service.shutdown();
+            for claim in claims {
+                assert!(claim.wait().is_ok());
+            }
         }
     }
 
@@ -1068,32 +1075,38 @@ mod tests {
 
     #[test]
     fn worker_panic_does_not_hang_the_ticket() {
-        let service = ReleaseService::start(
-            test_engine(),
-            ServiceConfig {
-                workers: Parallelism::Threads(2),
-                queue_capacity: 8,
-                per_user_epsilon: 10.0,
-            },
-        )
-        .unwrap();
-        let ticket = service
-            .submit(ReleaseRequest {
-                user: "p".to_string(),
-                query: Arc::new(PanickingQuery),
-                database: vec![0; 60],
-                epsilon: 0.5,
-                seed: 1,
-            })
+        for via in [Via::Ticket, Via::Sink] {
+            let service = ReleaseService::start(
+                test_engine(),
+                ServiceConfig {
+                    workers: Parallelism::Threads(2),
+                    queue_capacity: 8,
+                    per_user_epsilon: 10.0,
+                },
+            )
             .unwrap();
-        // The worker panics mid-release; the job's drop guard must wake the
-        // waiter instead of leaving it blocked forever.
-        assert!(matches!(ticket.wait(), Err(ServiceError::ServiceClosed)));
-        // The surviving worker keeps serving.
-        let release = service.release(request("p", 0.5, 2)).unwrap();
-        assert_eq!(release.values.len(), 1);
-        // Drop (not shutdown): swallows the dead worker's panic.
-        drop(service);
+            let claim = try_submit_via(
+                &service,
+                via,
+                ReleaseRequest {
+                    user: "p".to_string(),
+                    query: Arc::new(PanickingQuery),
+                    database: vec![0; 60],
+                    epsilon: 0.5,
+                    seed: 1,
+                },
+            )
+            .unwrap();
+            // The worker panics mid-release; the job's drop guard must
+            // complete it with ServiceClosed instead of leaving the waiter
+            // blocked forever.
+            assert!(matches!(claim.wait(), Err(ServiceError::ServiceClosed)));
+            // The surviving worker keeps serving.
+            let release = service.release(request("p", 0.5, 2)).unwrap();
+            assert_eq!(release.values.len(), 1);
+            // Drop (not shutdown): swallows the dead worker's panic.
+            drop(service);
+        }
     }
 
     #[test]

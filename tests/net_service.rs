@@ -16,14 +16,16 @@
 //! * **Adversarial bytes are contained**: garbage on one connection gets a
 //!   typed error and a close, while the listener keeps serving others; the
 //!   connection cap refuses with a typed frame; shutdown drains in-flight
-//!   releases.
+//!   releases, with one deadline per connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use pufferfish_core::engine::{MqmApproxCalibrator, ReleaseEngine};
-use pufferfish_core::{MqmApproxOptions, Parallelism};
+use pufferfish_core::engine::{FnCalibrator, MqmApproxCalibrator, ReleaseEngine};
+use pufferfish_core::{Mechanism, MqmApprox, MqmApproxOptions, Parallelism};
 use pufferfish_markov::IntervalClassBuilder;
 use pufferfish_net::{
     decode, encode, ClientError, Envelope, ErrorCode, Frame, NetClient, NetServer, NetServerConfig,
@@ -847,4 +849,94 @@ fn shutdown_drains_in_flight_releases() {
         answered > 0,
         "shutdown must drain, not drop, in-flight requests"
     );
+}
+
+#[test]
+fn shutdown_drain_has_one_deadline_per_connection() {
+    const STUCK: u64 = 8;
+    let drain_timeout = Duration::from_millis(250);
+    // Every release waits in a cold calibration until the gate opens (or
+    // 10 s pass, so a failing run still ends).
+    let gate = Arc::new(AtomicBool::new(false));
+    let calibration_gate = Arc::clone(&gate);
+    let class = IntervalClassBuilder::symmetric(0.4)
+        .grid_points(2)
+        .build()
+        .unwrap();
+    let engine = ReleaseEngine::shared(FnCalibrator::new("gated", 1, move |_query, budget| {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !calibration_gate.load(Ordering::SeqCst) && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mechanism = MqmApprox::calibrate(&class, LENGTH, budget, MqmApproxOptions::default())?;
+        Ok(Arc::new(mechanism) as Arc<dyn Mechanism>)
+    }));
+    let service = Arc::new(
+        ReleaseService::start(
+            engine,
+            ServiceConfig {
+                workers: Parallelism::Threads(1),
+                queue_capacity: 64,
+                per_user_epsilon: 1000.0,
+            },
+        )
+        .unwrap(),
+    );
+    let server = NetServer::bind(
+        ("127.0.0.1", 0),
+        Arc::clone(&service),
+        NetServerConfig {
+            read_timeout: Duration::from_millis(50),
+            drain_timeout,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.local_addr(), "stuck").unwrap();
+    let db = database(3);
+    for i in 1..=STUCK {
+        client
+            .send(Frame::release(i, test_query(), &db, 0.1, i).unwrap())
+            .unwrap();
+    }
+    client.flush().unwrap();
+    // Shut down only once every release is admitted: one in the
+    // calibration, the rest queued behind it.
+    let admitted_by = Instant::now() + Duration::from_secs(10);
+    while service.budget().users() < STUCK as usize {
+        assert!(Instant::now() < admitted_by, "releases never admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    // A deadline per release would hold shutdown for STUCK × drain_timeout.
+    assert!(
+        elapsed < drain_timeout * STUCK as u32 / 2,
+        "shutdown took {elapsed:?} with drain_timeout {drain_timeout:?}"
+    );
+
+    // No stuck release gets a reply; the client hears the shutdown notice
+    // and one typed notice counting the abandoned releases.
+    let mut abandoned_notices = 0;
+    while let Ok(envelope) = client.recv() {
+        assert_eq!(envelope.seq, 0, "unexpected reply {:?}", envelope.frame);
+        match envelope.frame {
+            Frame::Error {
+                code: ErrorCode::Internal,
+                message,
+            } => {
+                assert!(message.contains(&format!("{STUCK} in-flight")), "{message}");
+                abandoned_notices += 1;
+            }
+            Frame::Error {
+                code: ErrorCode::Shutdown,
+                ..
+            } => {}
+            other => panic!("unexpected notice {other:?}"),
+        }
+    }
+    assert_eq!(abandoned_notices, 1);
+    gate.store(true, Ordering::SeqCst);
 }
