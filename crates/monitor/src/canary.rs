@@ -123,13 +123,23 @@ impl ReleaseObserver for ServiceMonitor {
         let mut inner = self.inner.lock().expect("monitor poisoned");
         inner.noise.observe_release(release);
         inner.drift.observe_sequence(database);
-        inner.recent.push_back(database.to_vec());
-        inner.recent_events += database.len();
-        while inner.recent_events > self.recent_capacity && inner.recent.len() > 1 {
-            if let Some(dropped) = inner.recent.pop_front() {
-                inner.recent_events -= dropped.len();
-            }
+        // Evict before adding, and copy into the last evicted sequence's
+        // buffer: once the refit window is full, a release allocates nothing.
+        // The newest sequence is always kept, even when it alone exceeds
+        // the capacity.
+        let mut spare = None;
+        while inner.recent_events + database.len() > self.recent_capacity {
+            let Some(dropped) = inner.recent.pop_front() else {
+                break;
+            };
+            inner.recent_events -= dropped.len();
+            spare = Some(dropped);
         }
+        let mut sequence = spare.unwrap_or_default();
+        sequence.clear();
+        sequence.extend_from_slice(database);
+        inner.recent.push_back(sequence);
+        inner.recent_events += database.len();
     }
 
     fn monitor_stats(&self) -> MonitorStats {
@@ -395,6 +405,54 @@ mod tests {
                     seed: seed.wrapping_add(i as u64),
                 })
                 .unwrap();
+        }
+    }
+
+    #[test]
+    fn evict_before_push_keeps_the_push_then_evict_window() {
+        // The rule `observe_release` replaced: push the copy, then pop the
+        // oldest while over capacity and more than one sequence is left.
+        fn push_then_evict(recent: &mut VecDeque<Vec<usize>>, capacity: usize, database: &[usize]) {
+            recent.push_back(database.to_vec());
+            while recent.iter().map(Vec::len).sum::<usize>() > capacity && recent.len() > 1 {
+                recent.pop_front();
+            }
+        }
+
+        let bounds = ClassBounds::from_fitted(&fitted(&chain(0.8, 0.7), 91));
+        let release = NoisyRelease {
+            values: vec![0.0],
+            true_values: vec![0.0],
+            scale: 1.0,
+        };
+        for capacity in [1, 2, 5, 7, 16, 33, 100] {
+            for lengths in [
+                &[3][..],
+                &[1, 4, 2, 9, 5],
+                &[0, 6, 0, 1],
+                &[40, 1, 1, 20],
+                &[7; 3],
+            ] {
+                let monitor =
+                    ServiceMonitor::new(bounds.clone(), MonitorConfig::default(), capacity);
+                let mut model = VecDeque::new();
+                for (i, &len) in lengths.iter().cycle().take(40).enumerate() {
+                    let database: Vec<usize> = (0..len).map(|j| (i + j) % 2).collect();
+                    monitor.observe_release(&database, &release);
+                    push_then_evict(&mut model, capacity, &database);
+                    let expected: Vec<Vec<usize>> = model.iter().cloned().collect();
+                    assert_eq!(
+                        monitor.refit_log(),
+                        expected,
+                        "capacity {capacity}, {lengths:?}, step {i}"
+                    );
+                    assert_eq!(
+                        monitor.buffered_events(),
+                        expected.iter().map(Vec::len).sum::<usize>(),
+                        "capacity {capacity}, {lengths:?}, step {i}"
+                    );
+                }
+            }
         }
     }
 

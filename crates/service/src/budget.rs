@@ -7,6 +7,14 @@
 //! the accountant's lock, so concurrent requests for the same user can never
 //! jointly overdraw the budget — the property the service stress tests
 //! hammer.
+//!
+//! Cost under that lock: an admission is one map lookup by `&str` (the key
+//! `String` is allocated only on a user's first request) plus O(1) work on
+//! the user's running composition state, whatever their history length; for
+//! a known user it allocates nothing unless their charges use more than one
+//! ε. A refund — queue-full rollback, progressive abort, failed query —
+//! replays that user's history: O(K) additions, no allocation. One lock
+//! covers all users; sharding it would only pay with concurrent admitters.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -153,10 +161,14 @@ impl BudgetAccountant {
             )));
         }
         let mut users = self.users.lock().expect("budget ledger poisoned");
-        let accountant = users.entry(user.to_string()).or_default();
+        // A known user is found by `&str`; only a new one costs a `String`.
+        let accountant = match users.get_mut(user) {
+            Some(accountant) => accountant,
+            None => users.entry(user.to_owned()).or_default(),
+        };
         // Preview the composed guarantee (not a simple running sum under
-        // heterogeneous budgets) without cloning the history — this runs
-        // under the ledger lock on every admission.
+        // heterogeneous budgets) in O(1) — this runs under the ledger lock
+        // on every admission.
         let composed = accountant.guaranteed_epsilon_with(epsilon);
         if composed > self.target_epsilon + 1e-12 {
             let remaining = (self.target_epsilon - accountant.guaranteed_epsilon()).max(0.0);
