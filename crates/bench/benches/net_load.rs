@@ -282,7 +282,7 @@ fn bench_wire(connections: usize, rows: &mut Vec<String>) -> f64 {
     );
     assert_eq!(histogram.count(), requests as u64);
 
-    let stats = server.stats();
+    let stats = service.stats();
     assert!(
         stats.users as f64 >= 0.9 * requests as f64,
         "SplitMix64 identities must be almost all distinct, saw {} users for {requests} requests",

@@ -697,30 +697,10 @@ impl ReleaseEngine {
         Ok(release)
     }
 
-    /// Releases a batch of databases through one (cached) calibration.
-    ///
-    /// # Errors
-    /// Fails on the first database that fails validation or evaluation.
-    pub fn release_batch(
-        &self,
-        query: &dyn LipschitzQuery,
-        databases: &[Vec<usize>],
-        budget: PrivacyBudget,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<NoisyRelease>> {
-        let releases = self
-            .mechanism(query, budget)?
-            .release_batch(query, databases, rng)?;
-        for release in &releases {
-            self.note_release(release.scale);
-        }
-        Ok(releases)
-    }
-
-    /// [`ReleaseEngine::release_batch`] over borrowed window slices — one
-    /// (cached) calibration, no per-window materialization. This is the
-    /// entry point the morsel executor uses with windows sliced straight
-    /// out of a columnar batch.
+    /// Releases a batch of borrowed databases through one (cached)
+    /// calibration, with no per-window materialization. This is the entry
+    /// point the morsel executor uses with windows sliced straight out of a
+    /// columnar batch.
     ///
     /// # Errors
     /// Fails on the first database that fails validation or evaluation.
@@ -1283,7 +1263,7 @@ mod tests {
         engine.enable_telemetry(&registry);
         engine.release(&query, &data, budget, &mut rng).unwrap(); // hit
         engine
-            .release_batch(&query, &[data.clone(), data.clone()], budget, &mut rng)
+            .release_batch_refs(&query, &[&data, &data], budget, &mut rng)
             .unwrap(); // hit + 2 releases
         let rendered = registry.render_text();
         assert!(
@@ -1376,9 +1356,10 @@ mod tests {
             .map(|i| (0..50).map(|t| (t + i) % 2).collect())
             .collect();
 
+        let refs: Vec<&[usize]> = databases.iter().map(Vec::as_slice).collect();
         let mut rng = StdRng::seed_from_u64(7);
         let batched = engine
-            .release_batch(&query, &databases, budget, &mut rng)
+            .release_batch_refs(&query, &refs, budget, &mut rng)
             .unwrap();
 
         let mut rng = StdRng::seed_from_u64(7);

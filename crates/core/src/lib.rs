@@ -34,7 +34,7 @@
 //! Every calibrated mechanism — the four above plus the baselines in
 //! `pufferfish-baselines` — implements the object-safe [`Mechanism`] trait:
 //! `epsilon()`, `noise_scale_for(query)`, `release(query, db, rng)` and
-//! `release_batch`. Calibration stays on the concrete types (each family
+//! `release_batch_refs`. Calibration stays on the concrete types (each family
 //! consumes different class descriptions), while serving code holds
 //! `Box<dyn Mechanism>` / `Arc<dyn Mechanism>` and never cares which family
 //! produced it.

@@ -101,34 +101,16 @@ pub trait Mechanism: Send + Sync {
         })
     }
 
-    /// Releases the same query over a batch of databases.
+    /// Releases the same query over a batch of *borrowed* databases — the
+    /// hot path the morsel executor calls with windows sliced straight out of
+    /// a columnar batch, no per-window materialization.
     ///
-    /// Equivalent to calling [`Mechanism::release`] once per database with
-    /// the same rng — the noise stream is consumed in database order, so a
-    /// batched release is reproducible against a sequential one.
-    ///
-    /// # Errors
-    /// Fails on the first database that fails validation or evaluation.
-    fn release_batch(
-        &self,
-        query: &dyn LipschitzQuery,
-        databases: &[Vec<usize>],
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<NoisyRelease>> {
-        let refs: Vec<&[usize]> = databases.iter().map(Vec::as_slice).collect();
-        self.release_batch_refs(query, &refs, rng)
-    }
-
-    /// [`Mechanism::release_batch`] over *borrowed* window slices — the hot
-    /// path the morsel executor calls with windows sliced straight out of a
-    /// columnar batch, no per-window materialization.
-    ///
-    /// This is the real batched implementation: the noise scale and the
-    /// Laplace distribution are hoisted out of the loop and a single noise
-    /// buffer is refilled per window via [`Laplace::sample_into`]. Each
-    /// window consumes exactly `dimension` draws in window order, so the
-    /// noise stream — and therefore every released bit — matches a sequence
-    /// of scalar [`Mechanism::release`] calls on the same rng.
+    /// The noise scale and the Laplace distribution are hoisted out of the
+    /// loop and a single noise buffer is refilled per window via
+    /// [`Laplace::sample_into`]. Each window consumes exactly `dimension`
+    /// draws in window order, so the noise stream — and therefore every
+    /// released bit — matches a sequence of scalar [`Mechanism::release`]
+    /// calls on the same rng.
     ///
     /// # Errors
     /// Fails on the first database that fails validation or evaluation.

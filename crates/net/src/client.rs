@@ -4,16 +4,18 @@
 //! two levels of API: raw [`NetClient::send`] / [`NetClient::recv`] for
 //! pipelined callers (the load harness keeps dozens of requests in flight
 //! and matches responses by sequence number), and one-shot conveniences
-//! ([`NetClient::release`], [`NetClient::query`], [`NetClient::stats`])
+//! ([`NetClient::release`], [`NetClient::query`], [`NetClient::metrics`])
 //! that send, wait for the matching response, and map the typed failure
 //! frames onto [`ClientError`].
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use pufferfish_telemetry::MetricSample;
+
 use crate::frame::{
-    decode_payload, encode, Envelope, ErrorCode, Frame, FrameError, WireMetric, WireQuery,
-    WireQueryResult, WireStats, DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+    decode_payload, encode, Envelope, ErrorCode, Frame, FrameError, WireQuery, WireQueryResult,
+    DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
 };
 
 /// Typed client-side failures, separating transport problems from the
@@ -323,29 +325,15 @@ impl NetClient {
         }
     }
 
-    /// Fetches the server's merged observability snapshot.
+    /// Fetches the server's metrics, sorted by name: every counter, gauge
+    /// and stage histogram in its registry, plus its serving stats (cache,
+    /// queue, served, users, spent ε, monitor) rendered at scrape time.
+    /// Each [`MetricSample`] `Display`s one exposition line, identical to
+    /// the server-side `Registry::render_text` format.
     ///
     /// # Errors
     /// As for [`NetClient::release`].
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        let seq = self.send(Frame::Stats)?;
-        let envelope = self.expect_seq(seq)?;
-        match envelope.frame {
-            Frame::StatsOk(stats) => Ok(stats),
-            frame => Err(frame_to_error(frame, "STATS_OK")),
-        }
-    }
-
-    /// Fetches the server's full metrics registry snapshot — every counter,
-    /// gauge, and stage histogram the server's telemetry has registered.
-    /// Each [`WireMetric`] `Display`s one exposition line, identical to the
-    /// server-side `Registry::render_text` format.
-    ///
-    /// # Errors
-    /// As for [`NetClient::release`]; a server started without telemetry
-    /// answers with [`ErrorCode::Unsupported`], surfaced as
-    /// [`ClientError::Remote`].
-    pub fn metrics(&mut self) -> Result<Vec<WireMetric>, ClientError> {
+    pub fn metrics(&mut self) -> Result<Vec<MetricSample>, ClientError> {
         let seq = self.send(Frame::Metrics)?;
         let envelope = self.expect_seq(seq)?;
         match envelope.frame {

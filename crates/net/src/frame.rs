@@ -30,7 +30,7 @@ use pufferfish_core::queries::{
     LipschitzQuery, MeanStateQuery, RangeCountQuery, RelativeFrequencyHistogram, StateCountQuery,
     StateFrequencyQuery,
 };
-use pufferfish_service::ServiceStats;
+use pufferfish_telemetry::{HistogramSummary, MetricSample, MetricValue};
 
 /// The four magic bytes every frame starts with: `b"PUFF"` on the wire.
 pub const MAGIC: u32 = 0x4646_5550;
@@ -267,141 +267,6 @@ impl WireQuery {
     }
 }
 
-/// The numeric image of [`ServiceStats`] carried by a
-/// [`Frame::StatsOk`] response.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WireStats {
-    /// Calibration-cache hits.
-    pub hits: u64,
-    /// Calibration-cache misses.
-    pub misses: u64,
-    /// Stampedes coalesced into an in-flight calibration.
-    pub coalesced: u64,
-    /// Distinct calibrations currently cached.
-    pub cached_calibrations: u64,
-    /// Requests admitted but not yet picked up by a worker.
-    pub queue_depth: u64,
-    /// Admission-queue capacity.
-    pub queue_capacity: u64,
-    /// Submissions refused at capacity (back-pressure events).
-    pub queue_refusals: u64,
-    /// Deepest the admission queue has ever been.
-    pub queue_high_water: u64,
-    /// Requests fulfilled so far.
-    pub served: u64,
-    /// Users with at least one recorded spend.
-    pub users: u64,
-    /// Composed ε spend summed over all users.
-    pub spent_epsilon: f64,
-    /// Sequential sign/MAD noise tests the release monitor completed
-    /// (zero when no monitor is attached).
-    pub monitor_noise_tests: u64,
-    /// Noise tests that rejected (miscalibration verdicts).
-    pub monitor_noise_failures: u64,
-    /// Event windows the drift detector has scored.
-    pub drift_windows: u64,
-    /// The last window's drift score in units of the detection slack
-    /// (> 1 means the window violated the calibrated class bounds).
-    pub drift_score: f64,
-    /// Whether the drift detector is currently tripped.
-    pub drifted: bool,
-    /// Canary recalibrations performed (engine swaps).
-    pub recalibrations: u64,
-}
-
-impl From<ServiceStats> for WireStats {
-    fn from(stats: ServiceStats) -> Self {
-        let monitor = stats.monitor.unwrap_or_default();
-        WireStats {
-            hits: stats.cache.hits,
-            misses: stats.cache.misses,
-            coalesced: stats.cache.coalesced,
-            cached_calibrations: stats.cached_calibrations as u64,
-            queue_depth: stats.queue_depth as u64,
-            queue_capacity: stats.queue_capacity as u64,
-            queue_refusals: stats.queue_refusals,
-            queue_high_water: stats.queue_high_water as u64,
-            served: stats.served,
-            users: stats.users as u64,
-            spent_epsilon: stats.spent_epsilon,
-            monitor_noise_tests: monitor.noise_tests,
-            monitor_noise_failures: monitor.noise_failures,
-            drift_windows: monitor.drift_windows,
-            drift_score: monitor.drift_score,
-            drifted: monitor.drifted,
-            recalibrations: monitor.recalibrations,
-        }
-    }
-}
-
-/// A metric's value inside a [`WireMetric`] — the wire image of the
-/// telemetry registry's counter / gauge / histogram-summary kinds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireMetricValue {
-    /// A monotonic counter.
-    Counter(u64),
-    /// A point-in-time gauge.
-    Gauge(u64),
-    /// A latency-histogram summary (nanoseconds).
-    Histogram {
-        /// Recorded samples.
-        count: u64,
-        /// Exact maximum sample.
-        max: u64,
-        /// Mean sample.
-        mean: f64,
-        /// 50th percentile.
-        p50: u64,
-        /// 99th percentile.
-        p99: u64,
-        /// 99.9th percentile.
-        p999: u64,
-    },
-}
-
-impl WireMetricValue {
-    fn tag(self) -> u8 {
-        match self {
-            WireMetricValue::Counter(_) => 0,
-            WireMetricValue::Gauge(_) => 1,
-            WireMetricValue::Histogram { .. } => 2,
-        }
-    }
-}
-
-/// One named metric inside a [`Frame::MetricsOk`] response.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMetric {
-    /// The registry name (e.g. `stage_engine_ns`).
-    pub name: String,
-    /// Its value at snapshot time.
-    pub value: WireMetricValue,
-}
-
-impl std::fmt::Display for WireMetric {
-    /// The same one-line text exposition the telemetry registry's
-    /// `MetricSample` renders, so server-side `render_text` and client-side
-    /// METRICS output grep identically.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.value {
-            WireMetricValue::Counter(v) => write!(f, "{} counter {v}", self.name),
-            WireMetricValue::Gauge(v) => write!(f, "{} gauge {v}", self.name),
-            WireMetricValue::Histogram {
-                count,
-                max,
-                mean,
-                p50,
-                p99,
-                p999,
-            } => write!(
-                f,
-                "{} histogram count={count} mean={mean:.1} p50={p50} p99={p99} p999={p999} max={max}",
-                self.name
-            ),
-        }
-    }
-}
-
 /// One window's released values inside a [`WireCell`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireWindow {
@@ -446,7 +311,8 @@ pub struct WireRefinementStep {
 }
 
 /// One protocol frame. Kinds `0x01–0x07` are requests (client → server),
-/// `0x81–0x89` are responses (server → client).
+/// `0x81–0x89` are responses (server → client); `0x04` and `0x84` are
+/// unassigned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Authenticates the connection under a tenant name. Must be the first
@@ -501,11 +367,7 @@ pub enum Frame {
         /// The window: a state sequence, each state in `0..65536`.
         database: Vec<u16>,
     },
-    /// Requests a [`Frame::StatsOk`] observability snapshot.
-    Stats,
-    /// Requests a [`Frame::MetricsOk`] telemetry-registry snapshot. Servers
-    /// without telemetry attached answer [`Frame::Error`] with
-    /// [`ErrorCode::Unsupported`].
+    /// Requests a [`Frame::MetricsOk`] snapshot. Every server answers it.
     Metrics,
     /// Clean client-initiated close: the server finishes every in-flight
     /// response on this connection, then closes it.
@@ -548,11 +410,11 @@ pub enum Frame {
         /// The privatised answers for the prefix.
         values: Vec<f64>,
     },
-    /// The observability snapshot.
-    StatsOk(WireStats),
-    /// The telemetry-registry snapshot: every registered metric, sorted by
-    /// name.
-    MetricsOk(Vec<WireMetric>),
+    /// The server's metrics, sorted by name: its telemetry registry plus
+    /// the serving stats rendered at scrape time. Each sample is encoded as
+    /// its name, a kind tag (0 counter, 1 gauge, 2 histogram) and its
+    /// `u64` value or histogram summary (count, max, mean, p50, p99, p999).
+    MetricsOk(Vec<MetricSample>),
     /// Admission control refused the request (queue full or the connection's
     /// pipeline limit reached). The request spent **no** budget; retry after
     /// the hint.
@@ -583,14 +445,12 @@ impl Frame {
             Frame::Release { .. } => 0x02,
             Frame::Query { .. } => 0x03,
             Frame::Progressive { .. } => 0x07,
-            Frame::Stats => 0x04,
             Frame::Goodbye => 0x05,
             Frame::Metrics => 0x06,
             Frame::HelloOk { .. } => 0x81,
             Frame::ReleaseOk { .. } => 0x82,
             Frame::QueryOk(_) => 0x83,
             Frame::RefineOk { .. } => 0x89,
-            Frame::StatsOk(_) => 0x84,
             Frame::MetricsOk(_) => 0x88,
             Frame::Busy { .. } => 0x85,
             Frame::BudgetExhausted { .. } => 0x86,
@@ -814,7 +674,7 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
                 put_u16(&mut out, state);
             }
         }
-        Frame::Stats | Frame::Goodbye | Frame::Metrics => {}
+        Frame::Goodbye | Frame::Metrics => {}
         Frame::HelloOk {
             max_pipeline,
             max_frame_len,
@@ -864,50 +724,29 @@ pub fn encode(envelope: &Envelope, max_frame_len: u32) -> Result<Vec<u8>, FrameE
             put_f64(&mut out, *spent_epsilon);
             put_f64s(&mut out, values)?;
         }
-        Frame::StatsOk(stats) => {
-            put_u64(&mut out, stats.hits);
-            put_u64(&mut out, stats.misses);
-            put_u64(&mut out, stats.coalesced);
-            put_u64(&mut out, stats.cached_calibrations);
-            put_u64(&mut out, stats.queue_depth);
-            put_u64(&mut out, stats.queue_capacity);
-            put_u64(&mut out, stats.queue_refusals);
-            put_u64(&mut out, stats.queue_high_water);
-            put_u64(&mut out, stats.served);
-            put_u64(&mut out, stats.users);
-            put_f64(&mut out, stats.spent_epsilon);
-            put_u64(&mut out, stats.monitor_noise_tests);
-            put_u64(&mut out, stats.monitor_noise_failures);
-            put_u64(&mut out, stats.drift_windows);
-            put_f64(&mut out, stats.drift_score);
-            put_u16(&mut out, u16::from(stats.drifted));
-            put_u64(&mut out, stats.recalibrations);
-        }
         Frame::MetricsOk(metrics) => {
             let count = u32::try_from(metrics.len())
                 .map_err(|_| FrameError::Unencodable(format!("{} metrics", metrics.len())))?;
             put_u32(&mut out, count);
             for metric in metrics {
                 put_str(&mut out, &metric.name)?;
-                out.push(metric.value.tag());
                 match metric.value {
-                    WireMetricValue::Counter(v) | WireMetricValue::Gauge(v) => {
+                    MetricValue::Counter(v) => {
+                        out.push(0);
                         put_u64(&mut out, v);
                     }
-                    WireMetricValue::Histogram {
-                        count,
-                        max,
-                        mean,
-                        p50,
-                        p99,
-                        p999,
-                    } => {
-                        put_u64(&mut out, count);
-                        put_u64(&mut out, max);
-                        put_f64(&mut out, mean);
-                        put_u64(&mut out, p50);
-                        put_u64(&mut out, p99);
-                        put_u64(&mut out, p999);
+                    MetricValue::Gauge(v) => {
+                        out.push(1);
+                        put_u64(&mut out, v);
+                    }
+                    MetricValue::Histogram(h) => {
+                        out.push(2);
+                        put_u64(&mut out, h.count);
+                        put_u64(&mut out, h.max);
+                        put_f64(&mut out, h.mean);
+                        put_u64(&mut out, h.p50);
+                        put_u64(&mut out, h.p99);
+                        put_u64(&mut out, h.p999);
                     }
                 }
             }
@@ -1125,7 +964,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
             statement: r.string()?,
             seed: r.u64()?,
         },
-        0x04 => Frame::Stats,
         0x05 => Frame::Goodbye,
         0x06 => Frame::Metrics,
         0x07 => {
@@ -1187,33 +1025,6 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
                 cells,
             })
         }
-        0x84 => Frame::StatsOk(WireStats {
-            hits: r.u64()?,
-            misses: r.u64()?,
-            coalesced: r.u64()?,
-            cached_calibrations: r.u64()?,
-            queue_depth: r.u64()?,
-            queue_capacity: r.u64()?,
-            queue_refusals: r.u64()?,
-            queue_high_water: r.u64()?,
-            served: r.u64()?,
-            users: r.u64()?,
-            spent_epsilon: r.f64()?,
-            monitor_noise_tests: r.u64()?,
-            monitor_noise_failures: r.u64()?,
-            drift_windows: r.u64()?,
-            drift_score: r.f64()?,
-            drifted: match r.u16()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(FrameError::Malformed(format!(
-                        "drifted flag must be 0 or 1, found {other}"
-                    )))
-                }
-            },
-            recalibrations: r.u64()?,
-        }),
         0x85 => Frame::Busy {
             retry_hint_ms: r.u32()?,
         },
@@ -1237,23 +1048,23 @@ pub fn decode_payload(payload: &[u8]) -> Result<Envelope, FrameError> {
                 let name = r.string()?;
                 let tag = r.u8()?;
                 let value = match tag {
-                    0 => WireMetricValue::Counter(r.u64()?),
-                    1 => WireMetricValue::Gauge(r.u64()?),
-                    2 => WireMetricValue::Histogram {
+                    0 => MetricValue::Counter(r.u64()?),
+                    1 => MetricValue::Gauge(r.u64()?),
+                    2 => MetricValue::Histogram(HistogramSummary {
                         count: r.u64()?,
                         max: r.u64()?,
                         mean: r.f64()?,
                         p50: r.u64()?,
                         p99: r.u64()?,
                         p999: r.u64()?,
-                    },
+                    }),
                     other => {
                         return Err(FrameError::Malformed(format!(
                             "unknown metric kind {other}"
                         )))
                     }
                 };
-                metrics.push(WireMetric { name, value });
+                metrics.push(MetricSample { name, value });
             }
             Frame::MetricsOk(metrics)
         }
@@ -1329,7 +1140,6 @@ mod tests {
             )
             .unwrap(),
         );
-        round_trip(Frame::Stats);
         round_trip(Frame::Goodbye);
         round_trip(Frame::HelloOk {
             max_pipeline: 128,
@@ -1367,45 +1177,26 @@ mod tests {
                 ],
             }],
         }));
-        round_trip(Frame::StatsOk(WireStats {
-            hits: 1,
-            misses: 2,
-            coalesced: 3,
-            cached_calibrations: 4,
-            queue_depth: 5,
-            queue_capacity: 6,
-            queue_refusals: 7,
-            queue_high_water: 8,
-            served: 9,
-            users: 10,
-            spent_epsilon: 1.5,
-            monitor_noise_tests: 11,
-            monitor_noise_failures: 12,
-            drift_windows: 13,
-            drift_score: 0.75,
-            drifted: true,
-            recalibrations: 14,
-        }));
         round_trip(Frame::Metrics);
         round_trip(Frame::MetricsOk(vec![
-            WireMetric {
+            MetricSample {
                 name: "engine_mqm_approx_cache_hits_total".to_string(),
-                value: WireMetricValue::Counter(17),
+                value: MetricValue::Counter(17),
             },
-            WireMetric {
+            MetricSample {
                 name: "queue_depth".to_string(),
-                value: WireMetricValue::Gauge(3),
+                value: MetricValue::Gauge(3),
             },
-            WireMetric {
+            MetricSample {
                 name: "stage_engine_ns".to_string(),
-                value: WireMetricValue::Histogram {
+                value: MetricValue::Histogram(HistogramSummary {
                     count: 1000,
                     max: 90_000,
                     mean: 1234.5,
                     p50: 1100,
                     p99: 44_000,
                     p999: 88_000,
-                },
+                }),
             },
         ]));
         round_trip(Frame::Busy { retry_hint_ms: 2 });
@@ -1447,7 +1238,7 @@ mod tests {
     fn oversized_declared_length_is_refused_before_reading() {
         let envelope = Envelope {
             seq: 1,
-            frame: Frame::Stats,
+            frame: Frame::Metrics,
         };
         let mut bytes = encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap();
         bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());

@@ -9,7 +9,7 @@
 //! crate puts it behind a wire:
 //!
 //! * [`frame`] — the length-prefixed binary protocol: magic + version +
-//!   typed request/response frames (RELEASE, QUERY, STATS, PROGRESSIVE)
+//!   typed request/response frames (RELEASE, QUERY, PROGRESSIVE, METRICS)
 //!   with a per-frame
 //!   user id under a per-connection authenticated tenant, so the
 //!   [`pufferfish_service::BudgetAccountant`] charges the identity the
@@ -23,12 +23,12 @@
 //! * [`NetClient`] — a blocking client: raw pipelined send/recv plus
 //!   one-shot helpers mapping the typed refusal frames onto
 //!   [`ClientError`].
-//! * Telemetry — re-exported from [`pufferfish_telemetry`]: the
-//!   [`LatencyHistogram`] the closed-loop load harness uses for
-//!   p50/p95/p99/p999 over millions of samples in 15 KiB, and (opt-in via
-//!   [`NetServer::bind_telemetry`]) per-connection byte counters, request
-//!   stage spans, a slow-request flight recorder, and a METRICS wire frame
-//!   exposing the whole registry to any client.
+//! * Telemetry — every server is instrumented: wire byte counters and
+//!   request-stage histograms in a [`pufferfish_telemetry::Registry`], an
+//!   optional slow-request flight recorder ([`TelemetryOptions`]), and a
+//!   METRICS frame answering any client with the registry plus the serving
+//!   stats as [`MetricSample`]s. The [`LatencyHistogram`] the closed-loop
+//!   load harness uses for p50/p95/p99/p999 is re-exported too.
 //!
 //! Determinism survives the wire: a release is fully determined by
 //! `(user, query, ε, seed, database)`, so identical requests over any
@@ -98,11 +98,10 @@ pub mod server;
 
 pub use client::{ClientError, NetClient, Refinement};
 pub use frame::{
-    decode, decode_payload, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireMetric,
-    WireMetricValue, WireQuery, WireQueryResult, WireRefinementStep, WireStats, WireWindow,
-    DEFAULT_MAX_FRAME_LEN, MAGIC, VERSION,
+    decode, decode_payload, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireQuery,
+    WireQueryResult, WireRefinementStep, WireWindow, DEFAULT_MAX_FRAME_LEN, MAGIC, VERSION,
 };
-pub use pufferfish_telemetry::LatencyHistogram;
+pub use pufferfish_telemetry::{HistogramSummary, LatencyHistogram, MetricSample, MetricValue};
 pub use server::{
     NetServer, NetServerConfig, ProgressiveEndpoint, QueryEndpoint, TelemetryOptions,
 };

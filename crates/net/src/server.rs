@@ -45,12 +45,12 @@ use pufferfish_service::{
     ServiceError, ServiceTelemetry, StreamBackend,
 };
 use pufferfish_telemetry::{
-    Counter, FlightRecorder, MetricValue, Registry, RequestTrace, Stage, StageHistograms,
+    Counter, FlightRecorder, MetricSample, Registry, RequestTrace, Stage, StageHistograms,
 };
 
 use crate::frame::{
-    decode, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireMetric, WireMetricValue,
-    WireQueryResult, WireStats, WireWindow, DEFAULT_MAX_FRAME_LEN,
+    decode, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireQueryResult, WireWindow,
+    DEFAULT_MAX_FRAME_LEN,
 };
 
 /// Tuning for a [`NetServer`].
@@ -137,16 +137,18 @@ impl ProgressiveEndpoint {
     }
 }
 
-/// What a telemetry-enabled server needs from its caller: the registry
-/// metrics land in (the caller keeps it to render, audit, or serve METRICS
-/// elsewhere) and an optional flight recorder for slow-request breakdowns.
+/// How a server is instrumented: the registry its metrics land in (the
+/// caller may keep it to render or audit in process) and an optional flight
+/// recorder for slow-request breakdowns. [`NetServer::bind`] uses
+/// [`TelemetryOptions::new`].
 #[derive(Debug, Clone)]
 pub struct TelemetryOptions {
     /// The registry every layer registers against. Passing the same
     /// registry to multiple servers merges their metrics.
     pub registry: Arc<Registry>,
     /// Captures the stage breakdown of slow requests (see
-    /// [`FlightRecorder`]); `None` keeps histograms only.
+    /// [`FlightRecorder`]); `None` keeps histograms only, and then no
+    /// per-request trace is built.
     pub recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -169,7 +171,6 @@ impl Default for TelemetryOptions {
 /// The net layer's resolved metric handles: wire byte counters plus the
 /// decode/encode slices of the shared `stage_*_ns` family (the service
 /// records admission and the worker stages into the same histograms).
-#[derive(Clone)]
 struct NetTelemetry {
     registry: Arc<Registry>,
     rx_bytes: Counter,
@@ -183,7 +184,7 @@ struct Inner {
     query: Option<QueryEndpoint>,
     progressive: Option<ProgressiveEndpoint>,
     config: NetServerConfig,
-    telemetry: Option<NetTelemetry>,
+    telemetry: NetTelemetry,
     shutdown: AtomicBool,
     active: AtomicUsize,
     total: AtomicU64,
@@ -191,23 +192,17 @@ struct Inner {
 }
 
 impl Inner {
-    /// One merged observability snapshot: the release service's stats plus,
-    /// when a query endpoint is attached, the query front-end's counters
-    /// summed in (its queue fields are zero, so queue occupancy stays the
-    /// release queue's).
-    fn stats(&self) -> WireStats {
-        let mut stats = WireStats::from(self.release.stats());
+    /// The METRICS answer: the registry snapshot plus the release service's
+    /// stats (`service_…`) and, when a query endpoint is attached, the query
+    /// front-end's (`query_…`), rendered now and sorted by name.
+    fn metrics(&self) -> Vec<MetricSample> {
+        let mut samples = self.telemetry.registry.snapshot();
+        samples.extend(self.release.stats().metric_samples("service"));
         if let Some(endpoint) = &self.query {
-            let q = WireStats::from(endpoint.service.stats());
-            stats.hits += q.hits;
-            stats.misses += q.misses;
-            stats.coalesced += q.coalesced;
-            stats.cached_calibrations += q.cached_calibrations;
-            stats.served += q.served;
-            stats.users += q.users;
-            stats.spent_epsilon += q.spent_epsilon;
+            samples.extend(endpoint.service.stats().metric_samples("query"));
         }
-        stats
+        samples.sort_by(|a, b| a.name.cmp(&b.name));
+        samples
     }
 }
 
@@ -225,7 +220,8 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds a release-only server on `addr` (port 0 picks an ephemeral
-    /// port; see [`NetServer::local_addr`]).
+    /// port; see [`NetServer::local_addr`]), instrumented with
+    /// [`TelemetryOptions::new`]: a fresh registry and no flight recorder.
     ///
     /// # Errors
     /// [`std::io::Error`] when the bind fails.
@@ -234,41 +230,21 @@ impl NetServer {
         release: Arc<ReleaseService>,
         config: NetServerConfig,
     ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, None, None, config, None)
+        Self::bind_full(addr, release, None, None, config, TelemetryOptions::new())
     }
 
-    /// Binds a server that also answers QUERY frames via `query`.
-    ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_with_query<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: QueryEndpoint,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, Some(query), None, config, None)
-    }
-
-    /// Binds a server that also answers PROGRESSIVE frames via
-    /// `progressive`, streaming one [`Frame::RefineOk`] per schedule step —
-    /// all echoing the request's sequence number — interleaved with the
+    /// Binds a server with every surface the caller provides: RELEASE and
+    /// METRICS always, QUERY and PROGRESSIVE when their endpoints are given.
+    /// A PROGRESSIVE request streams one [`Frame::RefineOk`] per schedule
+    /// step, all echoing its sequence number, interleaved with the
     /// connection's other pipelined responses.
     ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_with_progressive<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        progressive: ProgressiveEndpoint,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, None, Some(progressive), config, None)
-    }
-
-    /// Binds a server with every surface the caller provides: RELEASE
-    /// always, QUERY and PROGRESSIVE when their endpoints are given, and
-    /// full instrumentation when `telemetry` is given.
+    /// Every server is instrumented against `telemetry.registry`: wire byte
+    /// counters and the decode/encode stages, in one `stage_*_ns` family
+    /// with the release service's worker stages. The shared `release`
+    /// service (and the engine behind it) has its telemetry enabled against
+    /// the same registry, replacing any telemetry attached to it before.
+    /// METRICS answers with that registry plus the serving stats.
     ///
     /// # Errors
     /// [`std::io::Error`] when the bind fails.
@@ -278,61 +254,25 @@ impl NetServer {
         query: Option<QueryEndpoint>,
         progressive: Option<ProgressiveEndpoint>,
         config: NetServerConfig,
-        telemetry: Option<TelemetryOptions>,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, query, progressive, config, telemetry)
-    }
-
-    /// Binds a fully instrumented server: wire byte counters, per-stage
-    /// latency histograms (decode through encode, shared with the release
-    /// service's worker stages in one `stage_*_ns` family), and the METRICS
-    /// frame answering from `telemetry.registry`.
-    ///
-    /// This is one-stop wiring — the shared `release` service (and the
-    /// engine behind it) has its telemetry enabled against the same
-    /// registry, so the stage pipeline and the engine's cache counters all
-    /// land in one place. Servers bound without this answer METRICS with a
-    /// typed [`ErrorCode::Unsupported`].
-    ///
-    /// # Errors
-    /// [`std::io::Error`] when the bind fails.
-    pub fn bind_telemetry<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: Option<QueryEndpoint>,
-        config: NetServerConfig,
         telemetry: TelemetryOptions,
-    ) -> std::io::Result<NetServer> {
-        Self::launch(addr, release, query, None, config, Some(telemetry))
-    }
-
-    fn launch<A: ToSocketAddrs>(
-        addr: A,
-        release: Arc<ReleaseService>,
-        query: Option<QueryEndpoint>,
-        progressive: Option<ProgressiveEndpoint>,
-        config: NetServerConfig,
-        telemetry: Option<TelemetryOptions>,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let telemetry = telemetry.map(|options| {
-            let service_telemetry = match &options.recorder {
-                Some(recorder) => ServiceTelemetry::with_recorder(
-                    Arc::clone(&options.registry),
-                    Arc::clone(recorder),
-                ),
-                None => ServiceTelemetry::new(Arc::clone(&options.registry)),
-            };
-            release.enable_telemetry(Arc::new(service_telemetry));
-            NetTelemetry {
-                rx_bytes: options.registry.counter("net_rx_bytes_total"),
-                tx_bytes: options.registry.counter("net_tx_bytes_total"),
-                stages: StageHistograms::register(&options.registry, "stage"),
-                recorder: options.recorder,
-                registry: options.registry,
+        let TelemetryOptions { registry, recorder } = telemetry;
+        let service_telemetry = match &recorder {
+            Some(recorder) => {
+                ServiceTelemetry::with_recorder(Arc::clone(&registry), Arc::clone(recorder))
             }
-        });
+            None => ServiceTelemetry::new(Arc::clone(&registry)),
+        };
+        release.enable_telemetry(Arc::new(service_telemetry));
+        let telemetry = NetTelemetry {
+            rx_bytes: registry.counter("net_rx_bytes_total"),
+            tx_bytes: registry.counter("net_tx_bytes_total"),
+            stages: StageHistograms::register(&registry, "stage"),
+            recorder,
+            registry,
+        };
         let inner = Arc::new(Inner {
             release,
             query,
@@ -374,12 +314,6 @@ impl NetServer {
     /// Connections refused at the [`NetServerConfig::max_connections`] cap.
     pub fn refused_connections(&self) -> u64 {
         self.inner.refused.load(Ordering::SeqCst)
-    }
-
-    /// The merged release + query observability snapshot — the same numbers
-    /// a STATS frame returns.
-    pub fn stats(&self) -> WireStats {
-        self.inner.stats()
     }
 
     /// Graceful shutdown: stop accepting, let every reader stop at its next
@@ -541,17 +475,11 @@ fn read_loop(
             if buffer.is_empty() {
                 break;
             }
-            // Decode is timed only when telemetry is attached — the
-            // uninstrumented reader never touches a clock.
-            let decode_started = inner.telemetry.as_ref().map(|_| Instant::now());
+            let decode_started = Instant::now();
             match decode(&buffer, config.max_frame_len) {
                 Ok((envelope, consumed)) => {
-                    let decode_ns = decode_started.map(|started| {
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    });
-                    if let (Some(watch), Some(ns)) = (&inner.telemetry, decode_ns) {
-                        watch.stages.record(Stage::Decode, ns);
-                    }
+                    let decode_ns = nanos_since(decode_started);
+                    inner.telemetry.stages.record(Stage::Decode, decode_ns);
                     buffer.drain(..consumed);
                     if !dispatch(inner, envelope, &mut tenant, tx, inflight, decode_ns) {
                         return;
@@ -576,9 +504,7 @@ fn read_loop(
         match stream.read(&mut scratch) {
             Ok(0) => return,
             Ok(n) => {
-                if let Some(watch) = &inner.telemetry {
-                    watch.rx_bytes.add(n as u64);
-                }
+                inner.telemetry.rx_bytes.add(n as u64);
                 buffer.extend_from_slice(&scratch[..n]);
                 last_activity = Instant::now();
             }
@@ -614,7 +540,7 @@ fn dispatch(
     tenant: &mut Option<String>,
     tx: &Sender<Outgoing>,
     inflight: &Arc<AtomicUsize>,
-    decode_ns: Option<u64>,
+    decode_ns: u64,
 ) -> bool {
     let config = &inner.config;
     let seq = envelope.seq;
@@ -679,16 +605,11 @@ fn dispatch(
                 epsilon,
                 seed,
             };
-            // With telemetry on, the request carries a trace keyed by its
-            // wire seq: the decode time recorded here, admission and the
-            // worker stages by the service, encode by the writer.
-            let trace = inner.telemetry.as_ref().map(|_| {
-                let trace = Arc::new(RequestTrace::new(seq));
-                if let Some(ns) = decode_ns {
-                    trace.record(Stage::Decode, ns);
-                }
-                trace
-            });
+            // With a flight recorder attached, the request carries a trace
+            // keyed by its wire seq: the decode time recorded here,
+            // admission and the worker stages by the service, encode by the
+            // writer.
+            let trace = new_trace(inner, seq, decode_ns);
             // The slot is taken before submitting: the worker can complete
             // the release, and the writer free the slot, before the submit
             // call returns.
@@ -803,13 +724,7 @@ fn dispatch(
             }
             let user = scoped_user(tenant_name, user);
             let database: Vec<usize> = database.into_iter().map(usize::from).collect();
-            let trace = inner.telemetry.as_ref().map(|_| {
-                let trace = Arc::new(RequestTrace::new(seq));
-                if let Some(ns) = decode_ns {
-                    trace.record(Stage::Decode, ns);
-                }
-                trace
-            });
+            let trace = new_trace(inner, seq, decode_ns);
             // Each PROGRESSIVE request gets its own driver thread so its
             // refinement stream interleaves with the connection's other
             // pipelined traffic; the stream holds a pipeline slot until its
@@ -843,14 +758,7 @@ fn dispatch(
                 }
             }
         }
-        Frame::Stats => send_now(Frame::StatsOk(inner.stats())),
-        Frame::Metrics => match &inner.telemetry {
-            Some(watch) => send_now(Frame::MetricsOk(wire_metrics(&watch.registry))),
-            None => send_now(Frame::Error {
-                code: ErrorCode::Unsupported,
-                message: "this server has no telemetry attached".to_string(),
-            }),
-        },
+        Frame::Metrics => send_now(Frame::MetricsOk(inner.metrics())),
         Frame::Goodbye => false,
         // Response kinds arriving at the server are a protocol violation.
         _ => {
@@ -866,6 +774,21 @@ fn dispatch(
 /// The budget identity a frame is charged to: `tenant#user-id-in-hex`.
 fn scoped_user(tenant: &str, user: u64) -> String {
     format!("{tenant}#{user:x}")
+}
+
+/// A request trace holding its decode stage, built only when a flight
+/// recorder will read it.
+fn new_trace(inner: &Inner, seq: u64, decode_ns: u64) -> Option<Arc<RequestTrace>> {
+    inner.telemetry.recorder.as_ref().map(|_| {
+        let trace = Arc::new(RequestTrace::new(seq));
+        trace.record(Stage::Decode, decode_ns);
+        trace
+    })
+}
+
+/// Nanoseconds since `started`, saturating.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Drives one PROGRESSIVE request to completion on its own thread: admits
@@ -913,7 +836,7 @@ fn run_progressive(
         },
     };
 
-    let started = inner.telemetry.as_ref().map(|_| Instant::now());
+    let started = Instant::now();
     let mut driver = match ProgressiveRelease::begin(
         "net-progressive",
         &endpoint.class,
@@ -955,15 +878,12 @@ fn run_progressive(
             }
         }
     }
-    if let (Some(watch), Some(started)) = (&inner.telemetry, started) {
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        watch.stages.record(Stage::Progressive, ns);
-        if let Some(trace) = &trace {
-            trace.record(Stage::Progressive, ns);
-            if let Some(recorder) = &watch.recorder {
-                recorder.observe(trace);
-            }
-        }
+    let watch = &inner.telemetry;
+    let ns = nanos_since(started);
+    watch.stages.record(Stage::Progressive, ns);
+    if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
+        trace.record(Stage::Progressive, ns);
+        recorder.observe(trace);
     }
 }
 
@@ -991,30 +911,6 @@ fn wire_result(result: &QueryResult) -> WireQueryResult {
             })
             .collect(),
     }
-}
-
-/// Reduces a registry snapshot to its wire form, one [`WireMetric`] per
-/// registered metric in name order.
-fn wire_metrics(registry: &Registry) -> Vec<WireMetric> {
-    registry
-        .snapshot()
-        .into_iter()
-        .map(|sample| WireMetric {
-            name: sample.name,
-            value: match sample.value {
-                MetricValue::Counter(v) => WireMetricValue::Counter(v),
-                MetricValue::Gauge(v) => WireMetricValue::Gauge(v),
-                MetricValue::Histogram(h) => WireMetricValue::Histogram {
-                    count: h.count,
-                    max: h.max,
-                    mean: h.mean,
-                    p50: h.p50,
-                    p99: h.p99,
-                    p999: h.p999,
-                },
-            },
-        })
-        .collect()
 }
 
 fn query_error_frame(error: QueryError) -> Frame {
@@ -1054,7 +950,7 @@ fn query_error_frame(error: QueryError) -> Frame {
 /// nothing is in flight; [`Outgoing::Abandon`] makes it give up on the rest
 /// with one seq-0 notice that counts them.
 fn writer_loop(stream: TcpStream, rx: Receiver<Outgoing>, inflight: &AtomicUsize, inner: &Inner) {
-    let (config, telemetry) = (&inner.config, inner.telemetry.as_ref());
+    let (config, watch) = (&inner.config, &inner.telemetry);
     let mut out = std::io::BufWriter::with_capacity(64 * 1024, stream);
     let mut draining = false;
     while let Ok(first) = rx.recv() {
@@ -1064,29 +960,23 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Outgoing>, inflight: &AtomicUsize
                     let Some(written) = write_frame(&mut out, seq, frame, config) else {
                         return;
                     };
-                    if let Some(watch) = telemetry {
-                        watch.tx_bytes.add(written as u64);
-                    }
+                    watch.tx_bytes.add(written as u64);
                 }
                 Outgoing::Released(seq, result, trace) => {
                     inflight.fetch_sub(1, Ordering::SeqCst);
                     // Encode + buffered write is the trace's final stage;
                     // the finished trace then goes to the flight recorder.
-                    let encode_started = telemetry.map(|_| Instant::now());
+                    let encode_started = Instant::now();
                     let Some(written) = write_frame(&mut out, seq, release_frame(result), config)
                     else {
                         return;
                     };
-                    if let (Some(watch), Some(started)) = (telemetry, encode_started) {
-                        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        watch.stages.record(Stage::Encode, ns);
-                        watch.tx_bytes.add(written as u64);
-                        if let Some(trace) = &trace {
-                            trace.record(Stage::Encode, ns);
-                            if let Some(recorder) = &watch.recorder {
-                                recorder.observe(trace);
-                            }
-                        }
+                    let ns = nanos_since(encode_started);
+                    watch.stages.record(Stage::Encode, ns);
+                    watch.tx_bytes.add(written as u64);
+                    if let (Some(trace), Some(recorder)) = (&trace, &watch.recorder) {
+                        trace.record(Stage::Encode, ns);
+                        recorder.observe(trace);
                     }
                 }
                 Outgoing::StreamEnded => {

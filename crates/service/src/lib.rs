@@ -104,7 +104,7 @@ pub use error::ServiceError;
 pub use observer::ReleaseObserver;
 pub use progressive::{ProgressiveRelease, ProgressiveUpdate, RefinementSchedule, RefinementStep};
 pub use service::{ReleaseRequest, ReleaseService, ServiceConfig, Ticket};
-pub use stats::{MonitorStats, ServiceStats, SnapshotInfo, StageLatencies};
+pub use stats::{MonitorStats, ServiceStats, SnapshotInfo};
 pub use stream::{ContinualRelease, StreamBackend, StreamConfig, WindowRelease};
 pub use telemetry::ServiceTelemetry;
 

@@ -779,10 +779,6 @@ impl ReleaseService {
                 .observer
                 .as_ref()
                 .map(|observer| observer.monitor_stats()),
-            latency: state
-                .telemetry
-                .as_ref()
-                .map(|watch| watch.stage_latencies()),
         }
     }
 
@@ -1220,12 +1216,6 @@ mod tests {
         for report in &reports {
             assert!(report.total_ns > 0);
         }
-
-        // Stats surface the stage percentiles and render them.
-        let stats = service.stats();
-        let latency = stats.latency.expect("telemetry attached");
-        assert!(latency.engine_p999_ns >= latency.engine_p50_ns);
-        assert!(stats.to_string().contains("queue-wait p50/p99/p999"));
 
         // The ledger audits bitwise against the live accountant: 3 charges,
         // 1 refusal.

@@ -1,6 +1,7 @@
 //! The unified observability snapshot for the serving stack.
 
 use pufferfish_core::CacheStats;
+use pufferfish_telemetry::{MetricSample, MetricValue};
 
 /// Provenance of a warm start: what the calibration snapshot the service
 /// loaded at construction looked like, and how stale it is now.
@@ -40,28 +41,6 @@ pub struct MonitorStats {
     pub drifted: bool,
     /// Canary recalibrations performed (engine swaps).
     pub recalibrations: u64,
-}
-
-/// Stage-latency percentiles from an attached telemetry pipeline: how long
-/// admitted requests sat in the queue and how long the engine stage (cache
-/// probe plus calibration on a miss) took, at p50/p99/p999. `None` in
-/// [`ServiceStats::latency`] until
-/// [`ReleaseService::enable_telemetry`](crate::ReleaseService::enable_telemetry)
-/// — the uninstrumented service records no stage timings at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageLatencies {
-    /// Queue-wait 50th percentile, nanoseconds.
-    pub queue_wait_p50_ns: u64,
-    /// Queue-wait 99th percentile, nanoseconds.
-    pub queue_wait_p99_ns: u64,
-    /// Queue-wait 99.9th percentile, nanoseconds.
-    pub queue_wait_p999_ns: u64,
-    /// Engine-stage 50th percentile, nanoseconds.
-    pub engine_p50_ns: u64,
-    /// Engine-stage 99th percentile, nanoseconds.
-    pub engine_p99_ns: u64,
-    /// Engine-stage 99.9th percentile, nanoseconds.
-    pub engine_p999_ns: u64,
 }
 
 /// One self-contained snapshot of a serving front-end's observable state:
@@ -115,9 +94,6 @@ pub struct ServiceStats {
     /// Counters of the attached runtime monitor, if any (see
     /// [`MonitorStats`]).
     pub monitor: Option<MonitorStats>,
-    /// Queue-wait and engine-stage latency percentiles from the attached
-    /// telemetry pipeline, if any (see [`StageLatencies`]).
-    pub latency: Option<StageLatencies>,
 }
 
 impl ServiceStats {
@@ -135,6 +111,76 @@ impl ServiceStats {
         } else {
             self.cache.hits as f64 / lookups as f64
         }
+    }
+
+    /// Renders the snapshot as metric samples named `{prefix}_…`, for a
+    /// metrics scrape (the network front-end appends them to its registry
+    /// snapshot). Nothing is registered: the samples are read once, here,
+    /// from the values above.
+    ///
+    /// Each field becomes one sample: counters for the monotonic counts
+    /// (`_total`), gauges for the rest. `f64` values are gauges in millionths
+    /// (`spent_epsilon_micro`, `monitor_drift_score_micro`), as the
+    /// registry's `engine_*_noise_scale_micro` histograms are; spent ε is an
+    /// aggregate load signal, and the ε-ledger stays the spend authority.
+    /// The snapshot and monitor samples appear only when those are present;
+    /// `monitor_drifted` is 0 or 1.
+    pub fn metric_samples(&self, prefix: &str) -> Vec<MetricSample> {
+        use MetricValue::{Counter, Gauge};
+        let micro = |value: f64| Gauge((value * 1e6).round() as u64);
+        let mut samples = vec![
+            ("cache_hits_total", Counter(self.cache.hits)),
+            ("cache_misses_total", Counter(self.cache.misses)),
+            ("cache_coalesced_total", Counter(self.cache.coalesced)),
+            (
+                "cached_calibrations",
+                Gauge(self.cached_calibrations as u64),
+            ),
+            ("queue_depth", Gauge(self.queue_depth as u64)),
+            ("queue_capacity", Gauge(self.queue_capacity as u64)),
+            ("queue_refusals_total", Counter(self.queue_refusals)),
+            ("queue_high_water", Gauge(self.queue_high_water as u64)),
+            ("served_total", Counter(self.served)),
+            ("users", Gauge(self.users as u64)),
+            ("spent_epsilon_micro", micro(self.spent_epsilon)),
+            (
+                "indexed_probe_misses_total",
+                Counter(self.indexed_probe_misses),
+            ),
+        ];
+        if let Some(snapshot) = &self.snapshot {
+            samples.extend([
+                ("snapshot_age_secs", Gauge(snapshot.age_secs)),
+                ("snapshot_entries", Gauge(snapshot.entries as u64)),
+                ("snapshot_bytes", Gauge(snapshot.bytes)),
+            ]);
+        }
+        if let Some(monitor) = &self.monitor {
+            samples.extend([
+                ("monitor_noise_tests_total", Counter(monitor.noise_tests)),
+                (
+                    "monitor_noise_failures_total",
+                    Counter(monitor.noise_failures),
+                ),
+                (
+                    "monitor_drift_windows_total",
+                    Counter(monitor.drift_windows),
+                ),
+                ("monitor_drift_score_micro", micro(monitor.drift_score)),
+                ("monitor_drifted", Gauge(u64::from(monitor.drifted))),
+                (
+                    "monitor_recalibrations_total",
+                    Counter(monitor.recalibrations),
+                ),
+            ]);
+        }
+        samples
+            .into_iter()
+            .map(|(name, value)| MetricSample {
+                name: format!("{prefix}_{name}"),
+                value,
+            })
+            .collect()
     }
 }
 
@@ -181,18 +227,6 @@ impl std::fmt::Display for ServiceStats {
                 monitor.drift_score,
                 if monitor.drifted { ", DRIFTED" } else { "" },
                 monitor.recalibrations,
-            )?;
-        }
-        if let Some(latency) = &self.latency {
-            write!(
-                f,
-                ", queue-wait p50/p99/p999 {}/{}/{} ns, engine p50/p99/p999 {}/{}/{} ns",
-                latency.queue_wait_p50_ns,
-                latency.queue_wait_p99_ns,
-                latency.queue_wait_p999_ns,
-                latency.engine_p50_ns,
-                latency.engine_p99_ns,
-                latency.engine_p999_ns,
             )?;
         }
         Ok(())
@@ -261,18 +295,39 @@ mod tests {
         assert!(rendered.contains("30 drift windows"));
         assert!(rendered.contains("last score 1.75, DRIFTED"));
         assert!(rendered.contains("2 recalibrations"));
-        assert!(!rendered.contains("queue-wait p50"));
+    }
 
-        stats.latency = Some(StageLatencies {
-            queue_wait_p50_ns: 800,
-            queue_wait_p99_ns: 4_000,
-            queue_wait_p999_ns: 9_000,
-            engine_p50_ns: 1_200,
-            engine_p99_ns: 45_000,
-            engine_p999_ns: 90_000,
+    #[test]
+    fn metric_samples_name_every_field_once() {
+        let mut stats = ServiceStats {
+            served: 4,
+            spent_epsilon: 1.25,
+            ..ServiceStats::default()
+        };
+        assert_eq!(stats.metric_samples("svc").len(), 12);
+        stats.snapshot = Some(SnapshotInfo::default());
+        stats.monitor = Some(MonitorStats {
+            drift_score: 1.75,
+            drifted: true,
+            ..MonitorStats::default()
         });
-        let rendered = stats.to_string();
-        assert!(rendered.contains("queue-wait p50/p99/p999 800/4000/9000 ns"));
-        assert!(rendered.contains("engine p50/p99/p999 1200/45000/90000 ns"));
+        let samples = stats.metric_samples("svc");
+        let mut names: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 21);
+        assert_eq!(samples.len(), 21);
+        assert!(names.iter().all(|name| name.starts_with("svc_")));
+        let value = |name: &str| samples.iter().find(|s| s.name == name).unwrap().value;
+        assert_eq!(value("svc_served_total"), MetricValue::Counter(4));
+        assert_eq!(
+            value("svc_spent_epsilon_micro"),
+            MetricValue::Gauge(1_250_000)
+        );
+        assert_eq!(
+            value("svc_monitor_drift_score_micro"),
+            MetricValue::Gauge(1_750_000)
+        );
+        assert_eq!(value("svc_monitor_drifted"), MetricValue::Gauge(1));
     }
 }

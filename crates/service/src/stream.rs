@@ -259,8 +259,10 @@ impl ContinualRelease {
             });
         }
         self.accountant.record(self.config.epsilon_per_release);
-        let database: Vec<usize> = self.window.iter().copied().collect();
-        let release = self.mechanism.release(&self.query, &database, rng)?;
+        // Released in place: `make_contiguous` rotates the ring buffer
+        // without allocating.
+        let database = self.window.make_contiguous();
+        let release = self.mechanism.release(&self.query, database, rng)?;
         self.releases += 1;
         Ok(Some(WindowRelease {
             window_end: self.events,

@@ -1,4 +1,4 @@
-//! Wire-protocol client walkthrough: connect, release, query, stats.
+//! Wire-protocol client walkthrough: connect, release, query, metrics.
 //!
 //! Start `--example net_server` first, then run
 //!
@@ -9,25 +9,18 @@
 //! The client authenticates a tenant with HELLO, issues a few releases for
 //! distinct per-frame user ids (showing the budget is charged per
 //! `tenant#user`, not per connection), runs one declarative query against
-//! the server's demo table, and prints the server's STATS snapshot. With
-//! `--telemetry` it additionally snapshots the server's full metrics
-//! registry over a METRICS frame and prints every exposition line (the
-//! server must have been started with `--telemetry` too).
+//! the server's demo table, and prints the server's metrics (its registry
+//! plus the serving stats: served, users, spent ε, queue, monitor) from one
+//! METRICS frame, one exposition line each.
 
 use pufferfish_net::{ClientError, NetClient, WireQuery};
 
 const CHAIN_LENGTH: usize = 60;
 
 fn main() {
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut telemetry = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--telemetry" {
-            telemetry = true;
-        } else {
-            addr = arg;
-        }
-    }
+    let addr = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "127.0.0.1:7878".to_string());
 
     let mut client = NetClient::connect(&addr as &str, "demo").expect("connect failed");
     println!(
@@ -109,38 +102,13 @@ fn main() {
         Err(other) => panic!("query failed: {other}"),
     }
 
-    let stats = client.stats().expect("stats failed");
-    println!(
-        "server stats: {} served, {} user(s), ε spent {:.2}, queue {}/{} \
-         (high-water {}, refused {})",
-        stats.served,
-        stats.users,
-        stats.spent_epsilon,
-        stats.queue_depth,
-        stats.queue_capacity,
-        stats.queue_high_water,
-        stats.queue_refusals
-    );
-    println!(
-        "monitor: noise tests {} ({} failed), drift windows {} \
-         (score {:.2}, drifted {}), recalibrations {}",
-        stats.monitor_noise_tests,
-        stats.monitor_noise_failures,
-        stats.drift_windows,
-        stats.drift_score,
-        stats.drifted,
-        stats.recalibrations
-    );
-
-    if telemetry {
-        // The full registry over the wire: every line renders in the same
-        // text exposition format as the server-side `Registry::render_text`,
-        // so the output greps identically on either side.
-        let metrics = client.metrics().expect("metrics failed");
-        println!("server metrics ({} series):", metrics.len());
-        for metric in &metrics {
-            println!("  {metric}");
-        }
+    // The server's metrics over the wire: every line renders in the same
+    // text exposition format as the server-side `Registry::render_text`, so
+    // the output greps identically on either side.
+    let metrics = client.metrics().expect("metrics failed");
+    println!("server metrics ({} series):", metrics.len());
+    for metric in &metrics {
+        println!("  {metric}");
     }
 
     client.goodbye().expect("goodbye failed");

@@ -13,10 +13,11 @@
 //! * `--exit-after-connections N` — shut down gracefully once N
 //!   connections have come and gone (how CI runs the server/client pair as
 //!   separate processes with a deterministic exit)
-//! * `--telemetry` — attach the unified telemetry layer: a metrics
-//!   registry every client can snapshot with METRICS, a flight recorder of
-//!   slow requests, and an ε-spend ledger audited (bitwise, against the
-//!   live accountant) at shutdown
+//!
+//! The server always runs with the telemetry layer: a metrics registry every
+//! client can snapshot with METRICS, a flight recorder of slow requests, and
+//! an ε-spend ledger audited (bitwise, against the live accountant) at
+//! shutdown.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +36,6 @@ const CHAIN_LENGTH: usize = 60;
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut exit_after: Option<u64> = None;
-    let mut telemetry = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--exit-after-connections" {
@@ -44,8 +44,6 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .expect("--exit-after-connections needs a number");
             exit_after = Some(n);
-        } else if arg == "--telemetry" {
-            telemetry = true;
         } else {
             addr = arg;
         }
@@ -76,7 +74,7 @@ fn main() {
 
     // Self-validation: a monitor watches every release (sequential noise
     // test + windowed drift detection against a generous demo envelope),
-    // and its counters ride the STATS wire frame to every client.
+    // and its counters ride the METRICS wire frame to every client.
     let monitor = ServiceMonitor::new(
         ClassBounds::new(vec![vec![0.05; 2]; 2], vec![vec![0.95; 2]; 2]),
         MonitorConfig::default(),
@@ -97,40 +95,27 @@ fn main() {
     let sensor: Vec<usize> = (0..CHAIN_LENGTH).map(|t| (t * 7 + 3) % 13 % 2).collect();
     endpoint.register_table(Table::single("sensor", 2, sensor).expect("valid table"));
 
-    // With --telemetry: one registry shared by every layer (net byte
-    // counters, the six-stage span family, service admission counters,
-    // engine cache counters), a flight recorder capturing requests slower
-    // than 1 ms end to end, and an append-only ε-ledger the shutdown path
-    // audits bitwise against the live accountant.
-    let ledger = telemetry.then(|| {
-        let ledger = Arc::new(EpsilonLedger::new());
-        service.budget().attach_ledger(Arc::clone(&ledger));
-        ledger
-    });
-    let server = if telemetry {
-        let mut options = TelemetryOptions::new();
-        options.recorder = Some(Arc::new(FlightRecorder::new(64, 1_000_000)));
-        NetServer::bind_telemetry(
-            &addr as &str,
-            Arc::clone(&service),
-            Some(endpoint),
-            NetServerConfig::default(),
-            options,
-        )
-    } else {
-        NetServer::bind_with_query(
-            &addr as &str,
-            Arc::clone(&service),
-            endpoint,
-            NetServerConfig::default(),
-        )
-    }
+    // One registry shared by every layer (net byte counters, the six-stage
+    // span family, service admission counters, engine cache counters), a
+    // flight recorder capturing requests slower than 1 ms end to end, and an
+    // append-only ε-ledger the shutdown path audits bitwise against the live
+    // accountant.
+    let ledger = Arc::new(EpsilonLedger::new());
+    service.budget().attach_ledger(Arc::clone(&ledger));
+    let mut options = TelemetryOptions::new();
+    options.recorder = Some(Arc::new(FlightRecorder::new(64, 1_000_000)));
+    let server = NetServer::bind_full(
+        &addr as &str,
+        Arc::clone(&service),
+        Some(endpoint),
+        None,
+        NetServerConfig::default(),
+        options,
+    )
     .expect("bind failed");
 
     println!("listening on {}", server.local_addr());
-    if telemetry {
-        println!("telemetry on: METRICS frames answered, ε-ledger attached");
-    }
+    println!("METRICS frames answered, ε-ledger attached");
     match exit_after {
         Some(n) => {
             // Poll until N connections have been accepted and finished,
@@ -141,24 +126,21 @@ fn main() {
                 }
                 std::thread::sleep(Duration::from_millis(50));
             }
-            let stats = server.stats();
             println!(
                 "served {} release(s) across {} connection(s); shutting down",
-                stats.served,
+                service.served(),
                 server.total_connections()
             );
             server.shutdown();
-            if let Some(ledger) = &ledger {
-                let report = audit_ledger(&ledger.to_bytes(), service.budget())
-                    .expect("ledger audit must reconstruct the accountant bitwise");
-                println!(
-                    "ledger audit passed: {} event(s), {} user(s), total ε {:.6} \
-                     bitwise-equal to the live accountant",
-                    report.events,
-                    report.per_user.len(),
-                    report.total
-                );
-            }
+            let report = audit_ledger(&ledger.to_bytes(), service.budget())
+                .expect("ledger audit must reconstruct the accountant bitwise");
+            println!(
+                "ledger audit passed: {} event(s), {} user(s), total ε {:.6} \
+                 bitwise-equal to the live accountant",
+                report.events,
+                report.per_user.len(),
+                report.total
+            );
         }
         None => {
             // Serve until the process is killed.

@@ -7,7 +7,7 @@
 //! * **calibrate-once / release-many determinism** — identical releases
 //!   under a re-seeded RNG, and a mechanism that is immutable across
 //!   releases;
-//! * **batch vs. sequential equality** — `release_batch` consumes the same
+//! * **batch vs. sequential equality** — `release_batch_refs` consumes the same
 //!   noise stream as a loop of `release` calls;
 //! * **trait metadata coherence** — `name`/`epsilon`/`noise_scale_for`
 //!   consistent with the release output, database validation enforced;
@@ -237,9 +237,10 @@ fn batch_release_equals_sequential_release() {
             })
             .collect();
 
+        let refs: Vec<&[usize]> = databases.iter().map(Vec::as_slice).collect();
         let mut rng = StdRng::seed_from_u64(99);
         let batched = mechanism
-            .release_batch(query.as_ref(), &databases, &mut rng)
+            .release_batch_refs(query.as_ref(), &refs, &mut rng)
             .unwrap();
 
         let mut rng = StdRng::seed_from_u64(99);

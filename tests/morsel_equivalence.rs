@@ -1,6 +1,6 @@
 //! Property tests for the morsel executor: execution over (cell ×
 //! window-chunk) morsels is **bitwise-identical** to `Parallelism::Serial`
-//! and to direct `Mechanism::release_batch` calls, across morsel sizes ×
+//! and to direct `Mechanism::release_batch_refs` calls, across morsel sizes ×
 //! thread counts × mechanisms × skewed group shapes (one giant cell next to
 //! many tiny ones — the shape whose windows spread across the most morsels
 //! and whose RNG-offset skipping is exercised hardest).
@@ -66,11 +66,11 @@ fn direct_mechanism(
 
 /// The window sweep a `WINDOW w STEP s` clause performs, spelled out
 /// independently of the planner and the batch.
-fn direct_windows(sequence: &[usize], width: usize, step: usize) -> Vec<Vec<usize>> {
+fn direct_windows(sequence: &[usize], width: usize, step: usize) -> Vec<&[usize]> {
     let mut windows = Vec::new();
     let mut start = 0;
     while start + width <= sequence.len() {
-        windows.push(sequence[start..start + width].to_vec());
+        windows.push(&sequence[start..start + width]);
         start += step;
     }
     windows
@@ -105,7 +105,7 @@ proptest! {
 
     /// The tentpole contract: for any morsel size, thread count, mechanism
     /// and skew shape, morsel execution equals the serial reference and the
-    /// direct per-cell `release_batch` — bit for bit.
+    /// direct per-cell `release_batch_refs` — bit for bit.
     #[test]
     fn morsel_execution_is_bitwise_identical_to_serial_and_direct(
         width in 8usize..14,
@@ -167,7 +167,7 @@ proptest! {
         for (index, (key, data)) in groups.iter().enumerate() {
             let windows = direct_windows(data, width, step);
             let mut rng = StdRng::seed_from_u64(cell_seed(seed, index));
-            let direct = mechanism.release_batch(&*query, &windows, &mut rng).unwrap();
+            let direct = mechanism.release_batch_refs(&*query, &windows, &mut rng).unwrap();
             let cell = &morsel.cells()[index];
             prop_assert_eq!(cell.key(), key.as_str());
             prop_assert_eq!(cell.releases().len(), direct.len());

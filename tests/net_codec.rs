@@ -14,9 +14,9 @@
 
 use proptest::prelude::*;
 use pufferfish_net::{
-    decode, encode, Envelope, ErrorCode, Frame, FrameError, WireCell, WireMetric, WireMetricValue,
-    WireQuery, WireQueryResult, WireRefinementStep, WireStats, WireWindow, DEFAULT_MAX_FRAME_LEN,
-    MAGIC, VERSION,
+    decode, encode, Envelope, ErrorCode, Frame, FrameError, HistogramSummary, MetricSample,
+    MetricValue, WireCell, WireQuery, WireQueryResult, WireRefinementStep, WireWindow,
+    DEFAULT_MAX_FRAME_LEN, MAGIC, VERSION,
 };
 use rand::Rng;
 
@@ -88,28 +88,28 @@ const ERROR_CODES: [ErrorCode; 9] = [
     ErrorCode::Internal,
 ];
 
-fn arbitrary_metric(rng: &mut TestRng) -> WireMetric {
+fn arbitrary_metric(rng: &mut TestRng) -> MetricSample {
     let value = match rng.gen_range(0..3u32) {
-        0 => WireMetricValue::Counter(rng.gen()),
-        1 => WireMetricValue::Gauge(rng.gen()),
-        _ => WireMetricValue::Histogram {
+        0 => MetricValue::Counter(rng.gen()),
+        1 => MetricValue::Gauge(rng.gen()),
+        _ => MetricValue::Histogram(HistogramSummary {
             count: rng.gen(),
             max: rng.gen(),
             mean: arbitrary_f64(rng),
             p50: rng.gen(),
             p99: rng.gen(),
             p999: rng.gen(),
-        },
+        }),
     };
-    WireMetric {
+    MetricSample {
         name: arbitrary_string(rng),
         value,
     }
 }
 
-/// Draws one frame of any of the sixteen kinds with arbitrary field values.
+/// Draws one frame of any of the fourteen kinds with arbitrary field values.
 fn arbitrary_frame(rng: &mut TestRng) -> Frame {
-    match rng.gen_range(0..16u32) {
+    match rng.gen_range(0..14u32) {
         0 => Frame::Hello {
             tenant: arbitrary_string(rng),
         },
@@ -129,17 +129,16 @@ fn arbitrary_frame(rng: &mut TestRng) -> Frame {
             statement: arbitrary_string(rng),
             seed: rng.gen(),
         },
-        3 => Frame::Stats,
-        4 => Frame::Goodbye,
-        5 => Frame::HelloOk {
+        3 => Frame::Goodbye,
+        4 => Frame::HelloOk {
             max_pipeline: rng.gen(),
             max_frame_len: rng.gen(),
         },
-        6 => Frame::ReleaseOk {
+        5 => Frame::ReleaseOk {
             scale: arbitrary_f64(rng),
             values: arbitrary_values(rng, 64),
         },
-        7 => Frame::QueryOk(WireQueryResult {
+        6 => Frame::QueryOk(WireQueryResult {
             mechanism: arbitrary_string(rng),
             noise_scale: arbitrary_f64(rng),
             total_epsilon: arbitrary_f64(rng),
@@ -155,39 +154,20 @@ fn arbitrary_frame(rng: &mut TestRng) -> Frame {
                 })
                 .collect(),
         }),
-        8 => Frame::StatsOk(WireStats {
-            hits: rng.gen(),
-            misses: rng.gen(),
-            coalesced: rng.gen(),
-            cached_calibrations: rng.gen(),
-            queue_depth: rng.gen(),
-            queue_capacity: rng.gen(),
-            queue_refusals: rng.gen(),
-            queue_high_water: rng.gen(),
-            served: rng.gen(),
-            users: rng.gen(),
-            spent_epsilon: arbitrary_f64(rng),
-            monitor_noise_tests: rng.gen(),
-            monitor_noise_failures: rng.gen(),
-            drift_windows: rng.gen(),
-            drift_score: arbitrary_f64(rng),
-            drifted: rng.gen_range(0..2u8) == 1,
-            recalibrations: rng.gen(),
-        }),
-        9 => Frame::Busy {
+        7 => Frame::Busy {
             retry_hint_ms: rng.gen(),
         },
-        10 => Frame::BudgetExhausted {
+        8 => Frame::BudgetExhausted {
             requested: arbitrary_f64(rng),
             remaining: arbitrary_f64(rng),
         },
-        11 => Frame::Metrics,
-        12 => Frame::MetricsOk(
+        9 => Frame::Metrics,
+        10 => Frame::MetricsOk(
             (0..rng.gen_range(0..8usize))
                 .map(|_| arbitrary_metric(rng))
                 .collect(),
         ),
-        13 => Frame::Progressive {
+        11 => Frame::Progressive {
             user: rng.gen(),
             confidence: rng.gen_range(0.5..0.999),
             seed: rng.gen(),
@@ -202,7 +182,7 @@ fn arbitrary_frame(rng: &mut TestRng) -> Frame {
                 .map(|_| rng.gen_range(0..1000u16))
                 .collect(),
         },
-        14 => Frame::RefineOk {
+        12 => Frame::RefineOk {
             step: rng.gen(),
             total_steps: rng.gen(),
             prefix: rng.gen(),
@@ -372,14 +352,18 @@ fn giant_declared_collection_in_tiny_payload_is_malformed() {
 
 #[test]
 fn unknown_kind_and_trailing_bytes_are_typed_errors() {
-    let bytes = header(0x42, 0);
-    assert_eq!(
-        decode(&bytes, DEFAULT_MAX_FRAME_LEN),
-        Err(FrameError::UnknownKind { found: 0x42 })
-    );
+    // 0x04 and 0x84 were the retired STATS / STATS_OK kinds.
+    for kind in [0x42, 0x04, 0x84] {
+        let bytes = header(kind, 0);
+        assert_eq!(
+            decode(&bytes, DEFAULT_MAX_FRAME_LEN),
+            Err(FrameError::UnknownKind { found: kind })
+        );
+    }
 
-    // A STATS frame with trailing garbage inside its declared length.
-    let mut bytes = header(0x04, 3);
+    // A bodiless METRICS frame with trailing garbage inside its declared
+    // length.
+    let mut bytes = header(0x06, 3);
     bytes.extend_from_slice(&[1, 2, 3]);
     assert!(matches!(
         decode(&bytes, DEFAULT_MAX_FRAME_LEN),
@@ -428,16 +412,16 @@ fn metrics_ok_adversarial_bodies_are_typed_errors() {
     ));
 
     // Truncated mid-histogram: the "read more" signal, not a misparse.
-    let histogram = Frame::MetricsOk(vec![WireMetric {
+    let histogram = Frame::MetricsOk(vec![MetricSample {
         name: "stage_engine_ns".to_string(),
-        value: WireMetricValue::Histogram {
+        value: MetricValue::Histogram(HistogramSummary {
             count: 10,
             max: 900,
             mean: 450.5,
             p50: 400,
             p99: 880,
             p999: 900,
-        },
+        }),
     }]);
     let bytes = encode(
         &Envelope {
@@ -451,6 +435,69 @@ fn metrics_ok_adversarial_bodies_are_typed_errors() {
         decode(&bytes[..bytes.len() - 6], DEFAULT_MAX_FRAME_LEN),
         Err(FrameError::Truncated { .. })
     ));
+}
+
+#[test]
+fn metrics_ok_encoding_is_pinned_byte_for_byte() {
+    // One counter, one gauge and one histogram: the bytes a METRICS_OK
+    // has always carried, so clients built against older servers decode it.
+    let frame = Frame::MetricsOk(vec![
+        MetricSample {
+            name: "a_total".to_string(),
+            value: MetricValue::Counter(17),
+        },
+        MetricSample {
+            name: "g".to_string(),
+            value: MetricValue::Gauge(3),
+        },
+        MetricSample {
+            name: "h_ns".to_string(),
+            value: MetricValue::Histogram(HistogramSummary {
+                count: 10,
+                max: 900,
+                mean: 450.5,
+                p50: 400,
+                p99: 880,
+                p999: 900,
+            }),
+        },
+    ]);
+    let expected = [
+        "6d000000",         // frame_len 109
+        "50554646",         // magic
+        "01",               // version
+        "88",               // kind METRICS_OK
+        "0500000000000000", // seq 5
+        "03000000",         // 3 samples
+        "07000000",         // name length 7
+        "615f746f74616c",   // "a_total"
+        "00",               // counter
+        "1100000000000000", // 17
+        "01000000",         // name length 1
+        "67",               // "g"
+        "01",               // gauge
+        "0300000000000000", // 3
+        "04000000",         // name length 4
+        "685f6e73",         // "h_ns"
+        "02",               // histogram
+        "0a00000000000000", // count 10
+        "8403000000000000", // max 900
+        "0000000000287c40", // mean 450.5
+        "9001000000000000", // p50 400
+        "7003000000000000", // p99 880
+        "8403000000000000", // p999 900
+    ]
+    .concat();
+    let expected: Vec<u8> = (0..expected.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&expected[i..i + 2], 16).unwrap())
+        .collect();
+    let envelope = Envelope { seq: 5, frame };
+    assert_eq!(encode(&envelope, DEFAULT_MAX_FRAME_LEN).unwrap(), expected);
+    assert_eq!(
+        decode(&expected, DEFAULT_MAX_FRAME_LEN).unwrap(),
+        (envelope, expected.len())
+    );
 }
 
 #[test]

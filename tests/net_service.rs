@@ -17,6 +17,8 @@
 //!   typed error and a close, while the listener keeps serving others; the
 //!   connection cap refuses with a typed frame; shutdown drains in-flight
 //!   releases, with one deadline per connection.
+//! * **One observability plane**: every server answers METRICS with its
+//!   registry plus the serving stats, each value under one name.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -27,15 +29,18 @@ use std::time::{Duration, Instant};
 use pufferfish_core::engine::{FnCalibrator, MqmApproxCalibrator, ReleaseEngine};
 use pufferfish_core::{Mechanism, MqmApprox, MqmApproxOptions, Parallelism};
 use pufferfish_markov::IntervalClassBuilder;
+use pufferfish_monitor::{
+    ClassBounds, DriftConfig, MonitorConfig, ReleaseMonitorConfig, ServiceMonitor,
+};
 use pufferfish_net::{
-    decode, encode, ClientError, Envelope, ErrorCode, Frame, NetClient, NetServer, NetServerConfig,
-    ProgressiveEndpoint, QueryEndpoint, TelemetryOptions, WireMetricValue, WireQuery,
+    decode, encode, ClientError, Envelope, ErrorCode, Frame, MetricSample, MetricValue, NetClient,
+    NetServer, NetServerConfig, ProgressiveEndpoint, QueryEndpoint, TelemetryOptions, WireQuery,
     DEFAULT_MAX_FRAME_LEN,
 };
 use pufferfish_query::{MechanismCatalog, QueryService, QueryServiceConfig, Table};
 use pufferfish_service::{
-    audit_ledger, ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseRequest,
-    ReleaseService, ServiceConfig, StreamBackend,
+    audit_ledger, ProgressiveRelease, RefinementSchedule, RefinementStep, ReleaseObserver,
+    ReleaseRequest, ReleaseService, ServiceConfig, StreamBackend,
 };
 use pufferfish_telemetry::{EpsilonLedger, FlightRecorder};
 
@@ -76,6 +81,15 @@ fn test_query() -> WireQuery {
         state: 1,
         length: LENGTH as u32,
     }
+}
+
+/// The value of the metric named `name`; panics when it is missing.
+fn metric(metrics: &[MetricSample], name: &str) -> MetricValue {
+    metrics
+        .iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("metric {name} missing from {metrics:#?}"))
+        .value
 }
 
 #[test]
@@ -258,12 +272,18 @@ fn overload_returns_busy_and_the_server_stays_healthy() {
     client.goodbye().unwrap();
 
     // Health check: a fresh connection serves normally, and the refusals
-    // are visible in the STATS frame.
+    // are visible in the METRICS frame.
     let mut after = NetClient::connect(server.local_addr(), "after").unwrap();
     after.release(1, test_query(), &db, 0.01, 42).unwrap();
-    let stats = after.stats().unwrap();
-    assert!(stats.queue_refusals > 0, "refusals must surface in STATS");
-    assert!(stats.served >= ok);
+    let metrics = after.metrics().unwrap();
+    match metric(&metrics, "service_queue_refusals_total") {
+        MetricValue::Counter(n) => assert!(n > 0, "refusals must surface in METRICS"),
+        other => panic!("service_queue_refusals_total was {other:?}"),
+    }
+    match metric(&metrics, "service_served_total") {
+        MetricValue::Counter(n) => assert!(n >= ok),
+        other => panic!("service_served_total was {other:?}"),
+    }
     after.goodbye().unwrap();
     server.shutdown();
 }
@@ -322,11 +342,13 @@ fn query_frames_execute_and_miss_typed() {
     endpoint.register_table(Table::single("sensor", 2, database(4)).unwrap());
 
     let service = service(64, 2, 10.0);
-    let server = NetServer::bind_with_query(
+    let server = NetServer::bind_full(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        endpoint,
+        Some(endpoint),
+        None,
         NetServerConfig::default(),
+        TelemetryOptions::new(),
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "q").unwrap();
@@ -386,7 +408,7 @@ fn progressive_streams_interleave_with_pipelined_traffic_and_charge_per_refineme
             StreamBackend::MqmApprox,
         )),
         NetServerConfig::default(),
-        None,
+        TelemetryOptions::new(),
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "prog").unwrap();
@@ -579,15 +601,15 @@ fn malformed_bytes_get_a_typed_error_and_the_listener_survives() {
 
     // A valid frame that is not HELLO as the first frame: typed NotHello.
     let mut eager = TcpStream::connect(addr).unwrap();
-    let stats = encode(
+    let metrics = encode(
         &Envelope {
             seq: 4,
-            frame: Frame::Stats,
+            frame: Frame::Metrics,
         },
         DEFAULT_MAX_FRAME_LEN,
     )
     .unwrap();
-    eager.write_all(&stats).unwrap();
+    eager.write_all(&metrics).unwrap();
     eager.flush().unwrap();
     let mut response = Vec::new();
     eager.read_to_end(&mut response).unwrap();
@@ -673,9 +695,10 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
     // Threshold 0: every request is "slow", so the recorder captures all.
     options.recorder = Some(Arc::new(FlightRecorder::new(16, 0)));
     let recorder = options.recorder.clone().unwrap();
-    let server = NetServer::bind_telemetry(
+    let server = NetServer::bind_full(
         ("127.0.0.1", 0),
         Arc::clone(&service),
+        None,
         None,
         NetServerConfig::default(),
         options,
@@ -695,27 +718,21 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
 
     let metrics = client.metrics().unwrap();
     let lines: Vec<String> = metrics.iter().map(|m| m.to_string()).collect();
-    let find = |name: &str| {
-        metrics
-            .iter()
-            .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("metric {name} missing from {lines:#?}"))
-    };
 
     // Every layer reported into the one registry: net byte counters, the
     // six-stage span family, service admission counters, engine cache
     // counters.
-    match find("net_rx_bytes_total").value {
-        WireMetricValue::Counter(n) => assert!(n > 0, "rx bytes must count"),
-        ref other => panic!("net_rx_bytes_total was {other:?}"),
+    match metric(&metrics, "net_rx_bytes_total") {
+        MetricValue::Counter(n) => assert!(n > 0, "rx bytes must count"),
+        other => panic!("net_rx_bytes_total was {other:?}"),
     }
-    match find("service_admitted_total").value {
-        WireMetricValue::Counter(n) => assert_eq!(n, 3),
-        ref other => panic!("service_admitted_total was {other:?}"),
+    match metric(&metrics, "service_admitted_total") {
+        MetricValue::Counter(n) => assert_eq!(n, 3),
+        other => panic!("service_admitted_total was {other:?}"),
     }
-    match find("service_refused_total").value {
-        WireMetricValue::Counter(n) => assert_eq!(n, 1),
-        ref other => panic!("service_refused_total was {other:?}"),
+    match metric(&metrics, "service_refused_total") {
+        MetricValue::Counter(n) => assert_eq!(n, 1),
+        other => panic!("service_refused_total was {other:?}"),
     }
     for stage in [
         "stage_decode_ns",
@@ -724,16 +741,16 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
         "stage_engine_ns",
         "stage_mechanism_ns",
     ] {
-        match find(stage).value {
-            WireMetricValue::Histogram { count, .. } => {
-                assert!(count >= 3, "{stage} saw {count} < 3 samples")
+        match metric(&metrics, stage) {
+            MetricValue::Histogram(h) => {
+                assert!(h.count >= 3, "{stage} saw {} < 3 samples", h.count)
             }
-            ref other => panic!("{stage} was {other:?}"),
+            other => panic!("{stage} was {other:?}"),
         }
     }
-    match find("engine_mqm_approx_releases_total").value {
-        WireMetricValue::Counter(n) => assert_eq!(n, 3),
-        ref other => panic!("releases_total was {other:?}"),
+    match metric(&metrics, "engine_mqm_approx_releases_total") {
+        MetricValue::Counter(n) => assert_eq!(n, 3),
+        other => panic!("releases_total was {other:?}"),
     }
     // The exposition lines render in the registry's canonical text format.
     assert!(
@@ -746,13 +763,9 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
     // tx bytes only settle after the responses were written; the METRICS
     // response itself was answered, so the counter must be non-zero by now.
     let metrics_again = client.metrics().unwrap();
-    let tx = metrics_again
-        .iter()
-        .find(|m| m.name == "net_tx_bytes_total")
-        .unwrap();
-    match tx.value {
-        WireMetricValue::Counter(n) => assert!(n > 0, "tx bytes must count"),
-        ref other => panic!("net_tx_bytes_total was {other:?}"),
+    match metric(&metrics_again, "net_tx_bytes_total") {
+        MetricValue::Counter(n) => assert!(n > 0, "tx bytes must count"),
+        other => panic!("net_tx_bytes_total was {other:?}"),
     }
 
     // The flight recorder captured the wire-traced releases with a full
@@ -774,21 +787,126 @@ fn telemetry_server_exposes_metrics_traces_and_an_auditable_ledger() {
 }
 
 #[test]
-fn metrics_on_an_uninstrumented_server_is_a_typed_refusal() {
-    let service = service(16, 1, 10.0);
+fn a_plain_server_answers_metrics_with_every_stats_value_once() {
+    // One worker behind a 2-deep queue under a deep pipeline, then a run
+    // of one-at-a-time releases, with a monitor whose windows fill quickly:
+    // refusals, releases and monitor verdicts all happen on a server bound
+    // with plain `bind`.
+    let service = service(2, 1, 10_000.0);
+    let monitor = ServiceMonitor::new(
+        ClassBounds::new(vec![vec![0.05; 2]; 2], vec![vec![0.95; 2]; 2]),
+        MonitorConfig {
+            noise: ReleaseMonitorConfig {
+                window: 8,
+                ..ReleaseMonitorConfig::default()
+            },
+            drift: DriftConfig {
+                window_events: 120,
+                ..DriftConfig::default()
+            },
+        },
+        1024,
+    );
+    service.set_observer(monitor as Arc<dyn ReleaseObserver>);
     let server = NetServer::bind(
         ("127.0.0.1", 0),
         Arc::clone(&service),
-        NetServerConfig::default(),
+        NetServerConfig {
+            max_pipeline: 256,
+            ..NetServerConfig::default()
+        },
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr(), "plain").unwrap();
-    match client.metrics() {
-        Err(ClientError::Remote { code, message }) => {
-            assert_eq!(code, ErrorCode::Unsupported);
-            assert!(message.contains("telemetry"), "message was {message:?}");
+    let db = database(9);
+    const BURST: u64 = 120;
+    const SERIAL: u64 = 24;
+    for i in 0..BURST {
+        client
+            .send(Frame::release(i, test_query(), &db, 0.01, i).unwrap())
+            .unwrap();
+    }
+    let mut busy = 0u64;
+    for _ in 0..BURST {
+        match client.recv().unwrap().frame {
+            Frame::ReleaseOk { .. } => {}
+            Frame::Busy { .. } => busy += 1,
+            other => panic!("unexpected overload response {other:?}"),
         }
-        other => panic!("expected a typed Unsupported refusal, got {other:?}"),
+    }
+    for i in 0..SERIAL {
+        client.release(i, test_query(), &db, 0.01, i).unwrap();
+    }
+
+    // Every response is in, so the service is quiescent: one METRICS answer
+    // and the in-process stats must agree exactly.
+    let metrics = client.metrics().unwrap();
+    let stats = service.stats();
+    let monitor = stats.monitor.expect("monitor attached");
+    assert!(busy > 0, "a 2-deep queue under {BURST} pipelined requests");
+    assert_eq!(stats.queue_refusals, busy);
+    assert_eq!(stats.served, BURST - busy + SERIAL);
+    assert!(monitor.noise_tests > 0 && monitor.drift_windows > 0);
+    assert!(
+        metrics.windows(2).all(|pair| pair[0].name < pair[1].name),
+        "names must be sorted and none may repeat"
+    );
+    let micro = |value: f64| MetricValue::Gauge((value * 1e6).round() as u64);
+    let expected = [
+        ("cache_hits_total", MetricValue::Counter(stats.cache.hits)),
+        (
+            "cache_misses_total",
+            MetricValue::Counter(stats.cache.misses),
+        ),
+        (
+            "cache_coalesced_total",
+            MetricValue::Counter(stats.cache.coalesced),
+        ),
+        (
+            "cached_calibrations",
+            MetricValue::Gauge(stats.cached_calibrations as u64),
+        ),
+        ("queue_depth", MetricValue::Gauge(stats.queue_depth as u64)),
+        (
+            "queue_capacity",
+            MetricValue::Gauge(stats.queue_capacity as u64),
+        ),
+        (
+            "queue_refusals_total",
+            MetricValue::Counter(stats.queue_refusals),
+        ),
+        (
+            "queue_high_water",
+            MetricValue::Gauge(stats.queue_high_water as u64),
+        ),
+        ("served_total", MetricValue::Counter(stats.served)),
+        ("users", MetricValue::Gauge(stats.users as u64)),
+        ("spent_epsilon_micro", micro(stats.spent_epsilon)),
+        (
+            "monitor_noise_tests_total",
+            MetricValue::Counter(monitor.noise_tests),
+        ),
+        (
+            "monitor_noise_failures_total",
+            MetricValue::Counter(monitor.noise_failures),
+        ),
+        (
+            "monitor_drift_windows_total",
+            MetricValue::Counter(monitor.drift_windows),
+        ),
+        ("monitor_drift_score_micro", micro(monitor.drift_score)),
+        (
+            "monitor_drifted",
+            MetricValue::Gauge(u64::from(monitor.drifted)),
+        ),
+        (
+            "monitor_recalibrations_total",
+            MetricValue::Counter(monitor.recalibrations),
+        ),
+    ];
+    for (name, value) in expected {
+        let name = format!("service_{name}");
+        assert_eq!(metric(&metrics, &name), value, "{name}");
     }
     client.goodbye().unwrap();
     server.shutdown();

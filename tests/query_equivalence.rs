@@ -1,5 +1,5 @@
 //! Property tests: a parsed-then-planned query executes **bitwise-
-//! identically** to the equivalent direct `Mechanism::release_batch` call
+//! identically** to the equivalent direct `Mechanism::release_batch_refs` call
 //! under the same seed, across every mechanism choice (fixed and auto).
 //!
 //! This is the query layer's core correctness contract: the planner and the
@@ -71,11 +71,11 @@ fn direct_mechanism(
 
 /// The window sweep a `WINDOW w STEP s` clause performs, spelled out
 /// independently of the planner.
-fn direct_windows(sequence: &[usize], width: usize, step: usize) -> Vec<Vec<usize>> {
+fn direct_windows(sequence: &[usize], width: usize, step: usize) -> Vec<&[usize]> {
     let mut windows = Vec::new();
     let mut start = 0;
     while start + width <= sequence.len() {
-        windows.push(sequence[start..start + width].to_vec());
+        windows.push(&sequence[start..start + width]);
         start += step;
     }
     windows
@@ -89,7 +89,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Single-group queries: planned execution consumes exactly the noise
-    /// stream of `mechanism.release_batch(query, windows, seed_from(seed))`.
+    /// stream of `mechanism.release_batch_refs(query, windows, seed_from(seed))`.
     #[test]
     fn planned_execution_is_bitwise_identical_to_direct_calls(
         width in 10usize..24,
@@ -118,7 +118,7 @@ proptest! {
         let windows = direct_windows(&data, width, step);
         let mut rng = StdRng::seed_from_u64(seed);
         let direct = mechanism
-            .release_batch(&*plan_query(&plan), &windows, &mut rng)
+            .release_batch_refs(&*plan_query(&plan), &windows, &mut rng)
             .unwrap();
 
         prop_assert_eq!(result.cells().len(), 1);
@@ -169,7 +169,7 @@ proptest! {
             let windows = direct_windows(data, width, width);
             let mut rng = StdRng::seed_from_u64(cell_seed(seed, index));
             let direct = mechanism
-                .release_batch(&*plan_query(&plan), &windows, &mut rng)
+                .release_batch_refs(&*plan_query(&plan), &windows, &mut rng)
                 .unwrap();
             let cell = &result.cells()[index];
             prop_assert_eq!(cell.key(), key.as_str());

@@ -100,7 +100,7 @@ fn assert_bitwise_identical_to_direct(
     length: usize,
     epsilon: f64,
     query: &dyn LipschitzQuery,
-    windows: &[Vec<usize>],
+    windows: &[&[usize]],
     seed: u64,
 ) {
     let budget = PrivacyBudget::new(epsilon).unwrap();
@@ -116,7 +116,9 @@ fn assert_bitwise_identical_to_direct(
         MechanismKind::Wasserstein => unreachable!("no framework registered"),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let direct = mechanism.release_batch(query, windows, &mut rng).unwrap();
+    let direct = mechanism
+        .release_batch_refs(query, windows, &mut rng)
+        .unwrap();
     let result = execute_plan(plan, seed, Parallelism::Auto).unwrap();
     assert_eq!(result.cells().len(), 1);
     let planned = result.cells()[0].releases();
@@ -150,7 +152,7 @@ fn auto_selects_minimum_scale_on_the_synthetic_chain_workload() {
     let query = statement.aggregate.to_query(2, length).unwrap();
     let exhaustive = exhaustive_scales(&class, length, 1.0, &*query, MqmExactOptions::default());
     assert_plan_is_argmin(&plan, &exhaustive);
-    assert_bitwise_identical_to_direct(&plan, &class, length, 1.0, &*query, &[data], 977);
+    assert_bitwise_identical_to_direct(&plan, &class, length, 1.0, &*query, &[&data], 977);
 }
 
 #[test]
@@ -230,9 +232,7 @@ fn auto_selects_minimum_scale_on_the_activity_workload() {
     // Auto must have found a *strict* win, not a tie with the floor.
     assert_eq!(plan.chosen(), MechanismKind::MqmApprox);
 
-    let windows: Vec<Vec<usize>> = (0..3)
-        .map(|i| record[i * 250..i * 250 + window].to_vec())
-        .collect();
+    let windows: Vec<&[usize]> = (0..3).map(|i| &record[i * 250..i * 250 + window]).collect();
     assert_bitwise_identical_to_direct(&plan, &class, window, 1.0, &*query, &windows, 1234);
 }
 

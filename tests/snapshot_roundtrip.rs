@@ -110,7 +110,7 @@ fn workload(family: &str, length: usize) -> (Arc<dyn LipschitzQuery>, Vec<Vec<us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// export → to_bytes → from_bytes → import reproduces `release_batch`
+    /// export → to_bytes → from_bytes → import reproduces `release_batch_refs`
     /// bitwise and `noise_scale_estimate` bitwise, across mechanism
     /// families, ε values and shard counts — and the importing engine never
     /// calibrates.
@@ -128,6 +128,7 @@ proptest! {
         let length = if family == "wasserstein" { 3 } else { length };
         let budget = PrivacyBudget::new(epsilon).unwrap();
         let (query, databases) = workload(family, length);
+        let databases: Vec<&[usize]> = databases.iter().map(Vec::as_slice).collect();
 
         // Cold: calibrate at two ε values (the snapshot must carry both).
         let cold = engine_for(family, length, cold_shards);
@@ -136,7 +137,7 @@ proptest! {
         cold.mechanism(&*query, other_budget).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let cold_releases = cold
-            .release_batch(&*query, &databases, budget, &mut rng)
+            .release_batch_refs(&*query, &databases, budget, &mut rng)
             .unwrap();
         let cold_scale = cold.noise_scale_estimate(&*query, other_budget).unwrap();
 
@@ -148,7 +149,7 @@ proptest! {
 
         let mut rng = StdRng::seed_from_u64(seed);
         let warm_releases = warm
-            .release_batch(&*query, &databases, budget, &mut rng)
+            .release_batch_refs(&*query, &databases, budget, &mut rng)
             .unwrap();
         prop_assert_eq!(cold_releases.len(), warm_releases.len());
         for (cold_release, warm_release) in cold_releases.iter().zip(&warm_releases) {
